@@ -254,11 +254,6 @@ def bal_generator(alpha: float, beta: float) -> Callable[[int], np.ndarray]:
     return lambda n: bal_weights(MarketParams(alpha=alpha, beta=beta, n=n))
 
 
-def da_generator() -> Callable[[int], np.ndarray]:
-    """Dollar-averaging weights for a given horizon length."""
-    return da_weights
-
-
 def compare_report(
     series: PriceSeries,
     alpha: float,
@@ -275,7 +270,7 @@ def compare_report(
     identical reports.
     """
     if strategies is None:
-        strategies = [("BAL", bal_generator(alpha, beta)), ("DA", da_generator())]
+        strategies = [("BAL", bal_generator(alpha, beta)), ("DA", da_weights)]
     if not strategies:
         raise ValueError("at least one strategy is required")
     windows, skipped = segment_monthly(series)

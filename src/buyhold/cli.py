@@ -8,6 +8,7 @@ fail a run), 1 on bad input data, 2 on usage errors.
 import argparse
 import csv
 import io
+import math
 import sys
 from datetime import date
 
@@ -37,6 +38,14 @@ from .market import (
     preset_bounds,
 )
 from .svgchart import line_chart
+
+
+def tolerance(text: str) -> float:
+    """Argument type for ``--tolerance``: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[output], help="solve a payoff matrix given as CSV")
     p.add_argument("matrix", help="CSV file, row-major, no header, all entries > 0")
     add_format(p, ["text", "json", "csv"])
-    p.add_argument("--tolerance", type=float, default=FEASIBILITY_TOL, help="LP feasibility tolerance")
+    p.add_argument("--tolerance", type=tolerance, default=FEASIBILITY_TOL, help="LP feasibility tolerance")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[bounds, output], help="ratio curves over a horizon range")
@@ -88,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, ["text", "json", "csv", "svg"])
     p.add_argument(
         "--tolerance",
-        type=float,
+        type=tolerance,
         default=VIOLATION_SLACK,
         help="relative slack before a daily move counts as a violation",
     )
@@ -112,6 +121,8 @@ def resolve_bounds(args, parser) -> tuple[float, float]:
         return preset_bounds(args.preset)
     if args.alpha is None or args.beta is None:
         parser.error("either --preset or both --alpha and --beta are required")
+    if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
+        parser.error("--alpha and --beta must be finite")
     if args.alpha <= 1.0 or args.beta <= 1.0:
         parser.error("--alpha and --beta must both exceed 1")
     return args.alpha, args.beta

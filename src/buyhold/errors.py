@@ -10,15 +10,7 @@ class SingularMatrixError(BuyholdError):
 
 
 class NumericalFailure(BuyholdError):
-    """An iterative routine exceeded its iteration cap."""
-
-
-class Infeasible(BuyholdError):
-    """The linear program has no feasible point."""
-
-
-class Unbounded(BuyholdError):
-    """The linear program is unbounded below."""
+    """An iterative routine stalled or exceeded its iteration cap."""
 
 
 class PreconditionViolated(BuyholdError):

@@ -27,7 +27,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import PIVOT_TOL, invert_matrix
-from .simplex import GE, LE, solve_lp
+from .simplex import solve_packing
 
 #: Default feasibility tolerance for LP-based solving.
 FEASIBILITY_TOL = 1e-9
@@ -91,16 +91,13 @@ class GameSolution:
 
 
 def solve_primal_dual(H, tol: float = FEASIBILITY_TOL) -> LpSolution:
-    """Solve the primal and dual programs for ``H`` by two-phase simplex.
+    """Solve the primal and dual programs for ``H`` on one simplex tableau.
 
-    The two problems are solved independently, so the returned
-    objectives provide a genuine duality-gap cross-check.
+    ``y`` and ``dual_objective`` come from the final basis, ``x`` from
+    the slack reduced costs, and ``primal_objective`` is ``sum(x)``.
     """
-    H = as_payoff_matrix(H)
-    m, n = H.shape
-    x, primal = solve_lp(np.ones(m), H.T, np.ones(n), [GE] * n, tol=tol)
-    y, neg_dual = solve_lp(-np.ones(n), H, np.ones(m), [LE] * m, tol=tol)
-    return LpSolution(x=x, y=y, primal_objective=primal, dual_objective=-neg_dual)
+    x, y, dual = solve_packing(as_payoff_matrix(H), tol=tol)
+    return LpSolution(x=x, y=y, primal_objective=float(x.sum()), dual_objective=dual)
 
 
 def solve_game_lp(H, tol: float = FEASIBILITY_TOL) -> GameSolution:

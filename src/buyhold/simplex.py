@@ -1,110 +1,61 @@
-"""Two-phase simplex on a dense tableau.
+"""Single-phase simplex for the LP pair of a positive matrix game.
 
-Solves   minimize c.x   subject to   A x (<= | >= | =) b,   x >= 0.
+For a payoff matrix ``H > 0`` the packing program
 
-Phase one drives artificial variables out with the auxiliary objective,
-phase two optimizes the real one.  Pivot selection follows Bland's rule
-(lowest eligible column enters; ratio-test ties broken by the lowest
-basic variable index), which excludes cycling, so the iteration cap is
-a pure safety net.  Intended for the small dense programs that arise
-from matrix games; no attempt is made at sparsity or scaling.
+    maximize 1.y   subject to   H y <= 1,   y >= 0
+
+is feasible at ``y = 0``, so the slack basis of the dense tableau
+``[H | I | 1 ; -1 | 0 | 0]`` is a valid start and no phase one is
+needed.  At the optimum the reduced costs of the slack columns are the
+optimal dual prices, which solve the covering program
+
+    minimize 1.x   subject to   x H >= 1,   x >= 0
+
+(Chvátal, *Linear Programming*, 1983), so one tableau yields both
+solutions.  Pivot selection follows Bland's rule (lowest eligible
+column enters; ratio-test ties broken by the lowest basic variable
+index), which excludes cycling, so the iteration cap is a pure safety
+net.  No attempt is made at sparsity or scaling.
 """
 
 import numpy as np
 
-from .errors import Infeasible, NumericalFailure, Unbounded
+from .errors import NumericalFailure
 
-LE = "<="
-GE = ">="
-EQ = "="
-
-_FLIP = {LE: GE, GE: LE, EQ: EQ}
+#: Pivot cap per tableau row and column; unreachable under Bland's rule.
+PIVOTS_PER_LINE = 200
 
 
-def solve_lp(c, A, b, senses, tol: float = 1e-9, max_iter: int | None = None):
-    """Minimize ``c @ x`` over ``A @ x (senses) b``, ``x >= 0``.
+def solve_packing(H, tol: float = 1e-9):
+    """Solve ``max 1.y s.t. H y <= 1`` and its dual on one tableau.
 
-    Returns ``(x, objective)``.  Raises Infeasible, Unbounded, or
-    NumericalFailure (iteration cap, unreachable under Bland's rule
-    for well-posed inputs).
+    Returns ``(x, y, objective)``: ``y`` is read from the final basis,
+    ``x`` from the reduced costs of the slacks, and ``objective`` is the
+    optimal ``1.y``.  Raises ValueError unless ``H`` is a nonempty 2-D
+    matrix, and NumericalFailure if the pivots stall (no blocking row,
+    the iteration cap, or a ``tol`` so large that no pivot is taken),
+    which a positive ``H`` with a small ``tol`` never causes.
     """
-    c = np.asarray(c, dtype=float).ravel()
-    A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
-    b = np.asarray(b, dtype=float).ravel().copy()
-    senses = list(senses)
-    m, nv = A.shape
-    if b.shape[0] != m or len(senses) != m or c.shape[0] != nv:
-        raise ValueError("inconsistent LP dimensions")
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 2 or H.size == 0:
+        raise ValueError(f"expected a nonempty 2-D matrix, got shape {H.shape}")
+    m, n = H.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = H
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[-1, :n] = -1.0
+    basis = np.arange(n, n + m)
+    _pivot_until_optimal(T, basis, tol, PIVOTS_PER_LINE * (2 * m + n + 10))
+    if not T[-1, -1] > 0.0:
+        # A positive H has a positive optimum.  Every initial reduced
+        # cost is -1, so a tol of 1 or more stops before any pivot.
+        raise NumericalFailure(f"tolerance {tol:g} left the objective at {T[-1, -1]:g}")
 
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            senses[i] = _FLIP[senses[i]]
-
-    # Append slack/surplus and artificial columns; record the starting basis.
-    extra = []
-    basis = np.empty(m, dtype=int)
-    artificial = []
-    col_index = nv
-    for i, sense in enumerate(senses):
-        unit = np.zeros(m)
-        unit[i] = 1.0
-        if sense == LE:
-            extra.append(unit)
-            basis[i] = col_index
-            col_index += 1
-        elif sense == GE:
-            extra.append(-unit)
-            col_index += 1
-            extra.append(unit)
-            basis[i] = col_index
-            artificial.append(col_index)
-            col_index += 1
-        elif sense == EQ:
-            extra.append(unit)
-            basis[i] = col_index
-            artificial.append(col_index)
-            col_index += 1
-        else:
-            raise ValueError(f"unknown constraint sense {sense!r}")
-
-    body = np.hstack([A, np.column_stack(extra)]) if extra else A
-    total = body.shape[1]
-    T = np.hstack([body, b[:, None]])
-    if max_iter is None:
-        max_iter = 200 * (m + total + 10)
-
-    art_set = set(artificial)
-    if artificial:
-        cost1 = np.zeros(total)
-        cost1[artificial] = 1.0
-        T = np.vstack([T, _objective_row(T, basis, cost1)])
-        _pivot_until_optimal(T, basis, tol, max_iter)
-        if -T[-1, -1] > tol:
-            raise Infeasible(f"phase-one optimum {-T[-1, -1]:.3e} is nonzero")
-        T, basis = _drop_artificials(T, basis, art_set, nv, total, tol)
-        total = T.shape[1] - 1
-    else:
-        T = np.vstack([T, np.zeros(total + 1)])
-
-    cost2 = np.zeros(total)
-    cost2[:nv] = c
-    T[-1] = _objective_row(T[:-1], basis, cost2)
-    _pivot_until_optimal(T, basis, tol, max_iter)
-
-    x = np.zeros(total)
-    x[basis] = T[: len(basis), -1]
-    return np.maximum(x[:nv], 0.0), -T[-1, -1]
-
-
-def _objective_row(rows, basis, cost):
-    # Reduced costs plus negated objective value, given the current basis.
-    row = np.append(cost, 0.0)
-    for i, bi in enumerate(basis):
-        if cost[bi] != 0.0:
-            row -= cost[bi] * rows[i]
-    return row
+    y = np.zeros(n + m)
+    y[basis] = T[:m, -1]
+    x = np.maximum(T[-1, n : n + m], 0.0)
+    return x, np.maximum(y[:n], 0.0), float(T[-1, -1])
 
 
 def _pivot(T, row, col):
@@ -126,7 +77,7 @@ def _pivot_until_optimal(T, basis, tol, max_iter):
         col = T[:m, enter]
         blocking = col > tol
         if not blocking.any():
-            raise Unbounded(f"entering column {enter} has no blocking row")
+            raise NumericalFailure(f"entering column {enter} has no blocking row")
         ratios = np.full(m, np.inf)
         ratios[blocking] = T[:m, -1][blocking] / col[blocking]
         rmin = ratios.min()
@@ -135,23 +86,3 @@ def _pivot_until_optimal(T, basis, tol, max_iter):
         _pivot(T, leave, enter)
         basis[leave] = enter
     raise NumericalFailure(f"simplex did not terminate within {max_iter} pivots")
-
-
-def _drop_artificials(T, basis, art_set, nv, total, tol):
-    m = T.shape[0] - 1
-    # Pivot basic artificials onto any genuine column with a nonzero entry.
-    for i in range(m):
-        if basis[i] in art_set:
-            for j in range(total):
-                if j not in art_set and abs(T[i, j]) > tol:
-                    _pivot(T, i, j)
-                    basis[i] = j
-                    break
-    # Rows still carried by an artificial are redundant (zero RHS after
-    # phase one) and can be removed outright.
-    keep_rows = [i for i in range(m) if basis[i] not in art_set]
-    keep_cols = [j for j in range(total) if j not in art_set]
-    remap = {old: new for new, old in enumerate(keep_cols)}
-    T = T[np.array(keep_rows + [m]), :][:, np.array(keep_cols + [total])]
-    basis = np.array([remap[basis[i]] for i in keep_rows], dtype=int)
-    return T, basis

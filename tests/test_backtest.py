@@ -14,7 +14,6 @@ from buyhold import (
     bal_generator,
     bal_ratio,
     compare_report,
-    da_generator,
     da_ratio,
     da_weights,
     find_violations,
@@ -129,7 +128,7 @@ class TestSegmentation:
 class TestRunPlan:
     def test_flat_prices(self):
         window = make_window("1997-01", date(1997, 1, 6), [100.0] * 5)
-        for gen in (bal_generator(2.0, 2.0), da_generator()):
+        for gen in (bal_generator(2.0, 2.0), da_weights):
             result = run_plan(gen, window, 2.0, 2.0)
             assert result.shares == pytest.approx(0.01, rel=1e-12)
             assert result.realized_ratio == pytest.approx(1.0, abs=1e-12)
@@ -157,7 +156,7 @@ class TestRunPlan:
 
     def test_accounting_identity(self):
         window = make_window("1997-02", date(1997, 2, 3), [100.0, 103.0, 99.0, 101.0])
-        result = run_plan(da_generator(), window, TAIPEI_ALPHA, TAIPEI_BETA)
+        result = run_plan(da_weights, window, TAIPEI_ALPHA, TAIPEI_BETA)
         assert result.currency_value / result.shares == pytest.approx(101.0, rel=1e-12)
 
     def test_length_mismatch(self):
@@ -168,7 +167,7 @@ class TestRunPlan:
     def test_scale_invariance(self):
         window = make_window("1997-03", date(1997, 3, 3), [100.0, 104.0, 98.0, 100.0])
         scaled = make_window("1997-03", window.dates[0], 7.25 * np.asarray(window.closes))
-        for gen in (bal_generator(TAIPEI_ALPHA, TAIPEI_BETA), da_generator()):
+        for gen in (bal_generator(TAIPEI_ALPHA, TAIPEI_BETA), da_weights):
             a = run_plan(gen, window, TAIPEI_ALPHA, TAIPEI_BETA)
             b = run_plan(gen, scaled, TAIPEI_ALPHA, TAIPEI_BETA)
             assert abs(a.realized_ratio - b.realized_ratio) <= 1e-10
@@ -190,7 +189,7 @@ class TestViolations:
         assert violations[0].lo == pytest.approx(1.0 / TAIPEI_BETA, rel=1e-15)
         assert violations[0].hi == pytest.approx(TAIPEI_ALPHA, rel=1e-15)
         # The window is still evaluated.
-        result = run_plan(da_generator(), window, TAIPEI_ALPHA, TAIPEI_BETA)
+        result = run_plan(da_weights, window, TAIPEI_ALPHA, TAIPEI_BETA)
         assert result.shares > 0.0
         assert len(result.violations) == 1
 

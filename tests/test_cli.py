@@ -53,6 +53,8 @@ class TestWeights:
         usage_error("weights", "--preset", "taipei", "--alpha", "2", "--beta", "2", "--days", "3")
         usage_error("weights", "--preset", "nowhere", "--days", "3")
         usage_error("weights", "--alpha", "0.9", "--beta", "2", "--days", "3")
+        usage_error("weights", "--alpha", "inf", "--beta", "2", "--days", "3")
+        usage_error("weights", "--alpha", "2", "--beta", "nan", "--days", "3")
 
 
 class TestSolve:
@@ -107,6 +109,12 @@ class TestSolve:
         path.write_text("1\n")
         usage_error("solve", str(path), "--format", "svg")
 
+    def test_bad_tolerance_is_usage_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n2,1\n3,0.5\n")
+        for bad in ("-1e-9", "nan", "inf"):
+            usage_error("solve", str(path), f"--tolerance={bad}")
+
 
 class TestSweep:
     def test_taipei_range(self, capsys):
@@ -148,6 +156,7 @@ class TestSweep:
         usage_error("sweep", "--preset", "taipei", "--from", "5", "--to", "3")
         usage_error("sweep", "--preset", "taipei", "--from", "1", "--to", "5")
         usage_error("sweep", "--preset", "taipei", "--from", "2", "--to", "20000")
+        usage_error("sweep", "--alpha", "nan", "--beta", "2", "--from", "2", "--to", "5")
 
 
 class TestDownturns:
@@ -260,6 +269,10 @@ class TestBacktest:
         assert code == 0
         assert out.count("<polyline") == 2
 
+    def test_bad_tolerance_is_usage_error(self, prices):
+        for bad in ("-0.5", "nan", "inf"):
+            usage_error("backtest", str(prices), "--preset", "taipei", f"--tolerance={bad}")
+
 
 class TestSynth:
     def test_deterministic_per_seed(self, capsys):
@@ -280,6 +293,7 @@ class TestSynth:
 
     def test_usage_error(self):
         usage_error("synth", "--preset", "taipei", "--months", "0")
+        usage_error("synth", "--alpha", "inf", "--beta", "2", "--months", "1")
         usage_error("synth")
 
 

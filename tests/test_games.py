@@ -133,11 +133,26 @@ def test_check_extreme_point_singular_submatrix():
     assert not check_extreme_point(H, [0.5, 0.5], [0.5, 0.5], [0, 1], [0, 1])
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_duality_feasibility_and_saddle(seed):
+def _random_game(seed):
     rng = np.random.default_rng(1000 + seed)
     m, n = rng.integers(1, 9, size=2)
-    H = rng.uniform(0.1, 5.0, size=(int(m), int(n)))
+    return rng.uniform(0.1, 5.0, size=(int(m), int(n)))
+
+
+# Games whose ratio test ties: duplicate rows and columns.
+TIE_GAMES = {
+    "ties-2x2": [[1.0, 1.0], [1.0, 1.0]],
+    "ties-3x2": [[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]],
+    "ties-2x4": [[1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "H",
+    [pytest.param(_random_game(seed), id=str(seed)) for seed in range(12)]
+    + [pytest.param(np.array(H), id=name) for name, H in TIE_GAMES.items()],
+)
+def test_duality_feasibility_and_saddle(H):
     lp = solve_primal_dual(H)
     assert abs(lp.primal_objective - lp.dual_objective) <= OPTIMALITY_TOL
     assert np.all(lp.x @ H >= 1.0 - 1e-9)

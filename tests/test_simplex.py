@@ -1,60 +1,48 @@
+import numpy as np
 import pytest
 
-from buyhold import Infeasible, Unbounded
-from buyhold.simplex import EQ, GE, LE, solve_lp
-
-
-def test_ge_pair():
-    # Both constraints tight at the optimum x = (2/3, 2/3).
-    x, obj = solve_lp([1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], [2.0, 2.0], [GE, GE])
-    assert obj == pytest.approx(4.0 / 3.0, abs=1e-10)
-    assert x == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-10)
+from buyhold import NumericalFailure
+from buyhold.simplex import solve_packing
 
 
 def test_maximization_via_negation():
-    y, obj = solve_lp([-1.0, -1.0], [[1.0, 0.5], [0.5, 1.0]], [1.0, 1.0], [LE, LE])
-    assert -obj == pytest.approx(4.0 / 3.0, abs=1e-10)
+    # max y1 + y2 s.t. y1 + y2/2 <= 1, y1/2 + y2 <= 1.
+    x, y, obj = solve_packing([[1.0, 0.5], [0.5, 1.0]])
+    assert obj == pytest.approx(4.0 / 3.0, abs=1e-10)
     assert y == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-10)
+    assert x == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-10)
 
 
-def test_equality_constraint():
-    x, obj = solve_lp([1.0, 2.0], [[1.0, 1.0]], [1.0], [EQ])
-    assert x == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert obj == pytest.approx(1.0, abs=1e-12)
-
-
-def test_negative_rhs_normalized():
-    # -x <= -1 is x >= 1.
-    x, obj = solve_lp([1.0], [[-1.0]], [-1.0], [LE])
-    assert x == pytest.approx([1.0], abs=1e-12)
-    assert obj == pytest.approx(1.0, abs=1e-12)
-
-
-def test_infeasible():
-    with pytest.raises(Infeasible):
-        solve_lp([1.0], [[1.0], [1.0]], [1.0, 3.0], [LE, GE])
-
-
-def test_unbounded():
-    with pytest.raises(Unbounded):
-        solve_lp([-1.0], [[1.0]], [1.0], [GE])
+TIE_GAMES = [
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0]),
+    ([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]], [0.5, 0.0, 0.5]),
+    ([[1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0]], [0.5, 0.5]),
+]
 
 
 def test_degenerate_instance_terminates():
-    # A classic degenerate program on which most-negative pivoting
-    # cycles forever; Bland's rule must reach the optimum -0.05.
-    c = [-0.75, 150.0, -0.02, 6.0]
-    A = [
-        [0.25, -60.0, -0.04, 9.0],
-        [0.5, -90.0, -0.02, 3.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ]
-    _, obj = solve_lp(c, A, [0.0, 0.0, 1.0], [LE, LE, LE])
-    assert obj == pytest.approx(-0.05, abs=1e-10)
+    # Duplicate rows or columns tie the ratio test; Bland's tie-break
+    # must still reach the optimum with zero duality gap.
+    for H, online in TIE_GAMES:
+        x, y, obj = solve_packing(H)
+        H = np.array(H)
+        assert x / x.sum() == pytest.approx(online, abs=1e-12)
+        assert x.sum() == pytest.approx(obj, abs=1e-12)
+        assert (x @ H).min() == pytest.approx(1.0, abs=1e-12)
+        assert (H @ y).max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dimension_validation():
     with pytest.raises(ValueError):
-        solve_lp([1.0], [[1.0, 2.0]], [1.0], [LE])
+        solve_packing([1.0, 2.0])
     with pytest.raises(ValueError):
-        solve_lp([1.0], [[1.0]], [1.0], ["<"])
+        solve_packing(np.ones((0, 3)))
+    with pytest.raises(ValueError):
+        solve_packing(np.ones((2, 2, 2)))
+
+
+def test_tolerance_that_blocks_every_pivot_fails():
+    # Every initial reduced cost is -1, so tol >= 1 admits no pivot.
+    for tol in (1.0, 2.0):
+        with pytest.raises(NumericalFailure):
+            solve_packing([[1.0, 2.0], [2.0, 1.0]], tol=tol)
