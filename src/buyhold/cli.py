@@ -48,6 +48,14 @@ def tolerance(text: str) -> float:
     return value
 
 
+def price(text: str) -> float:
+    """Argument type for ``--price``: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="buyhold",
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--months", type=int, default=12, help="number of calendar months")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--start", type=date.fromisoformat, default=date(1997, 1, 1), help="first day (ISO)")
-    p.add_argument("--price", type=float, default=100.0, help="initial price")
+    p.add_argument("--price", type=price, default=100.0, help="initial price (> 0)")
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -23,10 +23,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NonPositiveEntry,
+    NumericalFailure,
     PreconditionViolated,
     SingularMatrixError,
 )
-from .linalg import PIVOT_TOL, invert_matrix
+from .linalg import PIVOT_TOL, inverse_sums
 from .simplex import solve_packing
 
 #: Default feasibility tolerance for LP-based solving.
@@ -95,8 +96,17 @@ def solve_primal_dual(H, tol: float = FEASIBILITY_TOL) -> LpSolution:
 
     ``y`` and ``dual_objective`` come from the final basis, ``x`` from
     the slack reduced costs, and ``primal_objective`` is ``sum(x)``.
+    Raises NumericalFailure if ``max(1 - xH)`` or ``max(Hy - 1)``
+    exceeds OPTIMALITY_TOL, as when a large ``tol`` stops the pivots
+    short of the optimum.
     """
-    x, y, dual = solve_packing(as_payoff_matrix(H), tol=tol)
+    H = as_payoff_matrix(H)
+    x, y, dual = solve_packing(H, tol=tol)
+    residual = max(float(np.max(1.0 - x @ H)), float(np.max(H @ y - 1.0)))
+    if residual > OPTIMALITY_TOL:
+        raise NumericalFailure(
+            f"LP solution violates its constraints by {residual:.3e} at tolerance {tol:g}"
+        )
     return LpSolution(x=x, y=y, primal_objective=float(x.sum()), dual_objective=dual)
 
 
@@ -120,7 +130,8 @@ def solve_game_lp(H, tol: float = FEASIBILITY_TOL) -> GameSolution:
 def solve_game_closed_form(H, zero_tol: float = PIVOT_TOL) -> GameSolution:
     """Solve a square nonsingular game through the matrix inverse.
 
-    With ``x`` the column sums and ``y`` the row sums of ``H^-1``, both
+    With ``x`` the column sums and ``y`` the row sums of ``H^-1`` (taken
+    from one LU factorisation by ``linalg.inverse_sums``), both
     nonnegative, the ratio is ``sum(x)`` and the strategies are the
     normalized vectors.  Components in ``[-zero_tol, 0)`` are rounding
     noise and clipped to zero; anything more negative means this route
@@ -141,9 +152,7 @@ def solve_game_closed_form(H, zero_tol: float = PIVOT_TOL) -> GameSolution:
         raise NonPositiveEntry("payoff entries must be finite")
     if m != n:
         raise PreconditionViolated(f"closed form needs a square matrix, got {m}x{n}")
-    inv = invert_matrix(H)
-    x = inv.sum(axis=0)
-    y = inv.sum(axis=1)
+    x, y = inverse_sums(H)
     if x.min() < -zero_tol or y.min() < -zero_tol:
         raise PreconditionViolated(
             "inverse-based candidate has a negative component; use solve_game_lp"
@@ -222,7 +231,7 @@ def check_extreme_point(H, x, y, rows, cols, tol: float = 1e-9) -> bool:
         return False
     sub = H[np.ix_(rows, cols)]
     try:
-        invert_matrix(sub)
+        inverse_sums(sub)
     except SingularMatrixError:
         return False
     off_rows = np.setdiff1d(np.arange(m), rows)

@@ -1,4 +1,4 @@
-"""Dense matrix inversion by elimination with row pivoting."""
+"""Row and column sums of a matrix inverse from one LU factorisation."""
 
 import numpy as np
 
@@ -8,33 +8,54 @@ from .errors import DimensionMismatch, SingularMatrixError
 PIVOT_TOL = 1e-12
 
 
-def invert_matrix(matrix, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
-    """Invert a square matrix.
+def inverse_sums(matrix, pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(x, y)`` with ``x = 1ᵀM⁻¹`` and ``y = M⁻¹1`` for a square ``M``.
 
-    Gauss-Jordan elimination on the augmented system [M | I] with
-    partial pivoting: at each column the largest remaining entry is
-    swapped into the pivot position.  Raises SingularMatrixError as
-    soon as the best available pivot magnitude drops below
-    ``pivot_tol``.
+    LU with partial pivoting, ``PM = LU``, in place on one copy of
+    ``M`` bordered by a ones column and a ones row.  Step ``k`` first
+    brings column ``k`` of ``L`` up to date, swaps the row with the
+    largest remaining entry of that column into the pivot position,
+    then brings row ``k`` of ``U`` up to date; both updates are one
+    matrix-vector product with the finished part of the factors, so no
+    step rewrites the trailing submatrix.  The border makes the ones
+    column end as ``L⁻¹P1`` and the ones row as ``w`` with ``wU = 1ᵀ``;
+    two back-substitutions then give ``Uy = L⁻¹P1`` and ``Lᵀ(Px) = w``.
+    Raises SingularMatrixError as soon as the best available pivot
+    magnitude drops below ``pivot_tol``.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
 
-    n = a.shape[0]
-    aug = np.hstack([a, np.eye(n)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
+    n = m.shape[0]
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = m
+    a[n, n] = 0.0
+    perm = np.arange(n)
+    for k in range(n):
+        column = a[k:, k]
+        column -= a[k:, :k] @ a[:k, k]
+        pivot_row = k + int(np.abs(a[k:n, k]).argmax())
+        pivot = a[pivot_row, k]
         if abs(pivot) < pivot_tol:
             raise SingularMatrixError(
-                f"pivot {pivot:.3e} below threshold {pivot_tol:g} in column {col}"
+                f"pivot {pivot:.3e} below threshold {pivot_tol:g} in column {k}"
             )
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        others = np.arange(n) != col
-        aug[others] -= np.outer(aug[others, col], aug[col])
-    return aug[:, n:].copy()
+        if pivot_row != k:
+            a[[k, pivot_row]] = a[[pivot_row, k]]
+            perm[[k, pivot_row]] = perm[[pivot_row, k]]
+        multipliers = a[k + 1 :, k]
+        multipliers /= pivot
+        row = a[k, k + 1 :]
+        row -= a[k, :k] @ a[:k, k + 1 :]
+
+    y = np.empty(n)
+    v = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        y[k] = (a[k, n] - a[k, k + 1 : n] @ y[k + 1 :]) / a[k, k]
+        v[k] = a[n, k] - a[k + 1 : n, k] @ v[k + 1 :]
+    x = np.empty(n)
+    x[perm] = v
+    return x, y

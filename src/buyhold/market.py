@@ -117,21 +117,22 @@ def downturns(params: MarketParams) -> list[np.ndarray]:
 
     Sequence ``j`` (1-based) rises by ``alpha`` for ``j`` days, then
     falls by ``1/beta`` for the rest.  Built by stepwise multiplication
-    so each generated sequence is exactly admissible under stepwise
-    validation.
+    and division (accumulated ufuncs, not powers) so each generated
+    sequence is exactly admissible under stepwise validation.
     """
-    out = []
-    for j in range(1, params.n + 1):
-        seq = np.empty(params.n)
-        value = 1.0
-        for i in range(j):
-            value *= params.alpha
-            seq[i] = value
-        for i in range(j, params.n):
-            value /= params.beta
-            seq[i] = value
-        out.append(seq)
-    return out
+    n = params.n
+    # A rise past the float range becomes inf, as a Python float product does.
+    with np.errstate(over="ignore"):
+        rise = np.multiply.accumulate(np.full(n, float(params.alpha)))
+    # falls[p, t]: the peak rise[p] divided by beta t times, one step at a time.
+    steps = np.full((n, n + 1), float(params.beta))
+    steps[:, 0] = rise
+    falls = np.divide.accumulate(steps, axis=1)
+    # Read in rows of n, each (n + 1)-wide row shifts one further right,
+    # which puts falls[p, t] on day p + t of the sequence that peaks on
+    # day p (0-based); the days up to the peak come from the rise.
+    skewed = falls.ravel()[: n * n].reshape(n, n)
+    return list(np.where(np.tri(n, dtype=bool), rise, skewed))
 
 
 def payoff_matrix_K(params: MarketParams) -> np.ndarray:
@@ -143,9 +144,10 @@ def payoff_matrix_K(params: MarketParams) -> np.ndarray:
     accumulation on downturn ``j``.  All entries lie in (0, 1] with a
     unit diagonal.
     """
-    i = np.arange(params.n)[:, None]
-    j = np.arange(params.n)[None, :]
-    return np.where(i <= j, float(params.alpha) ** (i - j), float(params.beta) ** (j - i))
+    day = np.arange(params.n)
+    gap = day[:, None] - day[None, :]
+    # One power with exponent -|i - j|, so no entry can overflow.
+    return np.where(gap <= 0, float(params.alpha), float(params.beta)) ** -np.abs(gap)
 
 
 def det_K_closed_form(params: MarketParams) -> float:

@@ -115,6 +115,15 @@ class TestSolve:
         for bad in ("-1e-9", "nan", "inf"):
             usage_error("solve", str(path), f"--tolerance={bad}")
 
+    def test_tolerance_that_stops_short_exits_one(self, tmp_path, capsys):
+        # The value is 11/7; a tolerance of 0.5 stops the simplex at value 1.
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n2,1\n3,0.5\n")
+        code, out, err = run_cli(capsys, "solve", str(path), "--tolerance", "0.5")
+        assert code == 1 and out == "" and "error:" in err
+        code, out, _ = run_cli(capsys, "solve", str(path))
+        assert code == 0 and out.startswith(f"value      {fmt12(11 / 7)}\n")
+
 
 class TestSweep:
     def test_taipei_range(self, capsys):
@@ -294,6 +303,8 @@ class TestSynth:
     def test_usage_error(self):
         usage_error("synth", "--preset", "taipei", "--months", "0")
         usage_error("synth", "--alpha", "inf", "--beta", "2", "--months", "1")
+        usage_error("synth", "--preset", "taipei", "--price", "-5")
+        usage_error("synth", "--preset", "taipei", "--price", "nan")
         usage_error("synth")
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,23 @@ class TestDownturns:
         assert fall == pytest.approx([3.0, 2.0], abs=1e-12)  # alpha, alpha/beta
         assert rise == pytest.approx([3.0, 9.0], abs=1e-12)  # alpha, alpha**2
 
+    @pytest.mark.parametrize("n", [2, 3, 21, 100, 252])
+    @pytest.mark.parametrize(
+        "alpha, beta", [(2.0, 2.0), (TAIPEI_ALPHA, TAIPEI_BETA), (1.5, 1.1), (1.0001, 3.7)]
+    )
+    def test_matches_stepwise_loop_bit_for_bit(self, alpha, beta, n):
+        params = MarketParams(alpha, beta, n)
+        expected = []
+        for j in range(1, n + 1):
+            seq, value = [], 1.0
+            for i in range(n):
+                value = value * alpha if i < j else value / beta
+                seq.append(value)
+            expected.append(seq)
+        got = downturns(params)
+        assert len(got) == n
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
     @given(alpha=bounds, beta=bounds, n=small_horizons)
     @settings(max_examples=100, deadline=None)
     def test_always_admissible(self, alpha, beta, n):
@@ -141,6 +159,13 @@ class TestPayoffKernel:
         K = payoff_matrix_K(MarketParams(alpha, beta, n))
         assert np.all(np.diag(K) == 1.0)
         assert np.all((K > 0.0) & (K <= 1.0))
+
+    def test_long_horizon_raises_no_warning(self):
+        # 2.0**1099 overflows, so no entry may be formed as a positive power.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = payoff_matrix_K(MarketParams(2, 2, 1100))
+        assert K[0, 0] == 1.0 and K[0, 1] == 0.5 and K[1, 0] == 0.5
 
     def test_entries_are_trade_once_to_optimum_ratios(self):
         for params in params_grid():
