@@ -13,7 +13,7 @@ that assumption, so offending windows are reported but still evaluated.
 
 import csv
 import io
-import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BuyholdError, DuplicateDate, LengthMismatch, NonPositivePrice, ParseError
-from .formatting import fmt12, round12
+from .formatting import render, to_json
 from .market import MarketParams, bal_weights, da_weights
 from .svgchart import line_chart
 
@@ -249,11 +249,6 @@ def run_plan(
     )
 
 
-def bal_generator(alpha: float, beta: float) -> Callable[[int], np.ndarray]:
-    """Balanced-strategy weights for a given horizon length."""
-    return lambda n: bal_weights(MarketParams(alpha=alpha, beta=beta, n=n))
-
-
 def compare_report(
     series: PriceSeries,
     alpha: float,
@@ -269,8 +264,12 @@ def compare_report(
     output ordering is fixed by window date, so identical inputs yield
     identical reports.
     """
+    alpha, beta = float(alpha), float(beta)
     if strategies is None:
-        strategies = [("BAL", bal_generator(alpha, beta)), ("DA", da_weights)]
+        strategies = [
+            ("BAL", lambda n: bal_weights(MarketParams(alpha=alpha, beta=beta, n=n))),
+            ("DA", da_weights),
+        ]
     if not strategies:
         raise ValueError("at least one strategy is required")
     windows, skipped = segment_monthly(series)
@@ -305,6 +304,8 @@ def synthetic_prices(
     """
     if months < 1:
         raise ValueError("months must be >= 1")
+    if not (math.isfinite(initial_price) and initial_price > 0.0):
+        raise ValueError(f"initial_price must be a finite number > 0, got {initial_price}")
     first_month = (start.year, start.month)
     dates = []
     day = start
@@ -326,16 +327,14 @@ def synthetic_prices(
 
 def series_csv(series: PriceSeries) -> str:
     """Render a PriceSeries in the input CSV format."""
-    lines = ["date,close"]
-    for day, close in zip(series.dates, series.closes):
-        lines.append(f"{day.isoformat()},{fmt12(close)}")
-    return "\n".join(lines) + "\n"
+    rows = [(day.isoformat(), close) for day, close in zip(series.dates, series.closes)]
+    return render([("date", "close"), *rows], "csv")
 
 
 def report_json(report: BacktestReport) -> str:
     """Render a report as JSON with 12-significant-digit numbers."""
     payload = {
-        "params": {"alpha": round12(report.alpha), "beta": round12(report.beta)},
+        "params": {"alpha": report.alpha, "beta": report.beta},
         "windows": [
             {
                 "label": window.label,
@@ -343,16 +342,11 @@ def report_json(report: BacktestReport) -> str:
                 "strategies": [
                     {
                         "name": name,
-                        "shares": round12(result.shares),
-                        "currency_value": round12(result.currency_value),
-                        "realized_ratio": round12(result.realized_ratio),
+                        "shares": result.shares,
+                        "currency_value": result.currency_value,
+                        "realized_ratio": result.realized_ratio,
                         "violations": [
-                            {
-                                "day": v.day,
-                                "factor": round12(v.factor),
-                                "min": round12(v.lo),
-                                "max": round12(v.hi),
-                            }
+                            {"day": v.day, "factor": v.factor, "min": v.lo, "max": v.hi}
                             for v in result.violations
                         ],
                     }
@@ -363,45 +357,31 @@ def report_json(report: BacktestReport) -> str:
         ],
         "skipped": [{"window": label, "reason": reason} for label, reason in report.skipped],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return to_json(payload)
+
+
+def report_rows(report: BacktestReport) -> list[tuple]:
+    """A header and one row per (window, strategy): the CSV and text table."""
+    header = ("window", "n", "strategy", "shares", "currency_value", "realized_ratio", "violations")
+    return [header] + [
+        (window.label, window.n, name, r.shares, r.currency_value, r.realized_ratio, len(r.violations))
+        for window in report.windows
+        for name, r in window.results
+    ]
 
 
 def report_csv(report: BacktestReport) -> str:
     """Flatten a report to one CSV row per (window, strategy)."""
-    lines = ["window,n,strategy,shares,currency_value,realized_ratio,violations"]
-    for window in report.windows:
-        for name, result in window.results:
-            lines.append(
-                ",".join(
-                    [
-                        window.label,
-                        str(window.n),
-                        name,
-                        fmt12(result.shares),
-                        fmt12(result.currency_value),
-                        fmt12(result.realized_ratio),
-                        str(len(result.violations)),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    return render(report_rows(report), "csv")
 
 
 def report_svg(report: BacktestReport) -> str:
     """Line chart of realized ratios per window, one series per strategy."""
+    ratios = [{name: r.realized_ratio for name, r in window.results} for window in report.windows]
+    names = dict.fromkeys(name for by_name in ratios for name in by_name)
+    series = [
+        (name, [by_name.get(name) for by_name in ratios], idx % 2 == 1)
+        for idx, name in enumerate(names)
+    ]
     labels = [window.label for window in report.windows]
-    names: list[str] = []
-    for window in report.windows:
-        for name, _ in window.results:
-            if name not in names:
-                names.append(name)
-    series = []
-    for idx, name in enumerate(names):
-        values = []
-        for window in report.windows:
-            found = dict(window.results).get(name)
-            values.append(found.realized_ratio if found is not None else None)
-        series.append((name, values, idx % 2 == 1))
-    return line_chart(
-        labels, series, title="Realized competitive ratios", y_label="ratio"
-    )
+    return line_chart(labels, series, title="Realized competitive ratios", y_label="ratio")

@@ -19,13 +19,14 @@ from .backtest import (
     load_prices,
     report_csv,
     report_json,
+    report_rows,
     report_svg,
     series_csv,
     synthetic_prices,
     VIOLATION_SLACK,
 )
 from .errors import BuyholdError, NonPositiveEntry, ParseError
-from .formatting import fmt12, round12
+from .formatting import render, to_json
 from .games import FEASIBILITY_TOL, solve_game
 from .market import (
     CIRCUIT_BREAKERS,
@@ -148,36 +149,14 @@ def cmd_weights(args, parser) -> str:
     b = bal_weights(params)
     c = bal_adversary(params)
     r = bal_ratio(params)
+    fields = dict(alpha=params.alpha, beta=params.beta, days=params.n, ratio=r, weights=b, adversary=c)
     if args.format == "json":
-        import json
-
-        return json.dumps(
-            {
-                "alpha": round12(params.alpha),
-                "beta": round12(params.beta),
-                "days": params.n,
-                "ratio": round12(r),
-                "weights": [round12(v) for v in b],
-                "adversary": [round12(v) for v in c],
-            },
-            indent=2,
-        ) + "\n"
+        return to_json(fields)
+    table = [("day", "weight", "adversary"), *zip(range(1, params.n + 1), b, c)]
     if args.format == "csv":
-        lines = ["day,weight,adversary"]
-        for i in range(params.n):
-            lines.append(f"{i + 1},{fmt12(b[i])},{fmt12(c[i])}")
-        lines.append(f"ratio,{fmt12(r)},{fmt12(r)}")
-        return "\n".join(lines) + "\n"
-    lines = [
-        f"alpha  {fmt12(params.alpha)}",
-        f"beta   {fmt12(params.beta)}",
-        f"days   {params.n}",
-        f"ratio  {fmt12(r)}",
-        "day  weight         adversary",
-    ]
-    for i in range(params.n):
-        lines.append(f"{i + 1:<4d} {fmt12(b[i]):<14s} {fmt12(c[i])}")
-    return "\n".join(lines) + "\n"
+        return render([*table, ("ratio", r, r)], "csv")
+    preamble = [(key, value) for key, value in fields.items() if np.ndim(value) == 0]
+    return render(preamble, "text", (6,)) + render(table, "text", (4, 14))
 
 
 def read_matrix_csv(text: str) -> np.ndarray:
@@ -205,38 +184,19 @@ def cmd_solve(args, parser) -> str:
     with open(args.matrix, "r", encoding="utf-8") as handle:
         H = read_matrix_csv(handle.read())
     solution, route = solve_game(H, tol=args.tolerance)
+    fields = {
+        "value": solution.value,
+        "ratio": solution.ratio,
+        "online": solution.online_strategy,
+        "adversary": solution.adversary_strategy,
+        "unique": solution.unique,
+        "route": route,
+    }
     if args.format == "json":
-        import json
-
-        return json.dumps(
-            {
-                "value": round12(solution.value),
-                "ratio": round12(solution.ratio),
-                "online": [round12(v) for v in solution.online_strategy],
-                "adversary": [round12(v) for v in solution.adversary_strategy],
-                "unique": solution.unique,
-                "route": route,
-            },
-            indent=2,
-        ) + "\n"
-    if args.format == "csv":
-        lines = [
-            f"value,{fmt12(solution.value)}",
-            f"ratio,{fmt12(solution.ratio)}",
-            "online," + ",".join(fmt12(v) for v in solution.online_strategy),
-            "adversary," + ",".join(fmt12(v) for v in solution.adversary_strategy),
-            f"unique,{str(solution.unique).lower()}",
-            f"route,{route}",
-        ]
-        return "\n".join(lines) + "\n"
-    return (
-        f"value      {fmt12(solution.value)}\n"
-        f"ratio      {fmt12(solution.ratio)}\n"
-        f"online     {' '.join(fmt12(v) for v in solution.online_strategy)}\n"
-        f"adversary  {' '.join(fmt12(v) for v in solution.adversary_strategy)}\n"
-        f"unique     {str(solution.unique).lower()}\n"
-        f"route      {route}\n"
-    )
+        return to_json(fields)
+    # One row per field; a strategy spreads over the rest of its row.
+    rows = [(key, *value) if np.ndim(value) else (key, value) for key, value in fields.items()]
+    return render(rows, args.format, (10,))
 
 
 def cmd_sweep(args, parser) -> str:
@@ -251,74 +211,34 @@ def cmd_sweep(args, parser) -> str:
         params = MarketParams(alpha=alpha, beta=beta, n=n)
         rows.append((n, bal_ratio(params), da_ratio(params)))
     if args.format == "json":
-        import json
-
-        return json.dumps(
-            {
-                "alpha": round12(alpha),
-                "beta": round12(beta),
-                "rows": [
-                    {"n": n, "bal": round12(rb), "da": round12(rd)} for n, rb, rd in rows
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    if args.format == "csv":
-        lines = ["n,bal_ratio,da_ratio"]
-        lines += [f"{n},{fmt12(rb)},{fmt12(rd)}" for n, rb, rd in rows]
-        return "\n".join(lines) + "\n"
+        table = [{"n": n, "bal": rb, "da": rd} for n, rb, rd in rows]
+        return to_json({"alpha": alpha, "beta": beta, "rows": table})
     if args.format == "svg":
-        return line_chart(
-            [n for n, _, _ in rows],
-            [
-                ("BAL", [rb for _, rb, _ in rows], False),
-                ("DA", [rd for _, _, rd in rows], True),
-            ],
-            title="Competitive ratios vs horizon",
-            y_label="ratio",
-        )
-    lines = ["n     bal_ratio       da_ratio"]
-    lines += [f"{n:<5d} {fmt12(rb):<15s} {fmt12(rd)}" for n, rb, rd in rows]
-    return "\n".join(lines) + "\n"
+        _, bal, da = zip(*rows)
+        series = [("BAL", bal, False), ("DA", da, True)]
+        return line_chart(ns, series, title="Competitive ratios vs horizon", y_label="ratio")
+    return render([("n", "bal_ratio", "da_ratio"), *rows], args.format, (5, 15))
 
 
 def cmd_downturns(args, parser) -> str:
     params = resolve_params(args, parser)
     seqs = downturns(params)
     if args.format == "json":
-        import json
-
-        return json.dumps(
-            {"downturns": [[round12(v) for v in seq] for seq in seqs]}, indent=2
-        ) + "\n"
+        return to_json({"downturns": seqs})
     # text and csv coincide: one rate sequence per row.
-    return "\n".join(",".join(fmt12(v) for v in seq) for seq in seqs) + "\n"
+    return render(seqs, "csv")
 
 
 def cmd_backtest(args, parser) -> str:
     alpha, beta = resolve_bounds(args, parser)
     series = load_prices(args.prices)
     report = compare_report(series, alpha, beta, slack=args.tolerance)
-    if args.format == "json":
-        return report_json(report)
-    if args.format == "csv":
-        return report_csv(report)
-    if args.format == "svg":
-        return report_svg(report)
-    lines = [
-        f"alpha {fmt12(alpha)}  beta {fmt12(beta)}",
-        "window   n   strategy  shares          currency_value  realized_ratio  violations",
-    ]
-    for window in report.windows:
-        for name, result in window.results:
-            lines.append(
-                f"{window.label}  {window.n:<3d} {name:<9s} "
-                f"{fmt12(result.shares):<15s} {fmt12(result.currency_value):<15s} "
-                f"{fmt12(result.realized_ratio):<15s} {len(result.violations)}"
-            )
-    for label, reason in report.skipped:
-        lines.append(f"skipped {label}: {reason}")
-    return "\n".join(lines) + "\n"
+    renderers = {"json": report_json, "csv": report_csv, "svg": report_svg}
+    if args.format in renderers:
+        return renderers[args.format](report)
+    head = render([("alpha", report.alpha, " beta", report.beta)], "text")
+    table = render(report_rows(report), "text", (8, 3, 9, 15, 15, 15))
+    return head + table + "".join(f"skipped {label}: {reason}\n" for label, reason in report.skipped)
 
 
 def cmd_synth(args, parser) -> str:

@@ -1,4 +1,13 @@
-"""Locale-independent number formatting shared by reports and the CLI."""
+"""Locale-independent rendering of every number the package prints.
+
+``render`` turns rows of cells into CSV or aligned text, ``to_json``
+turns a payload into JSON; both give a float 12 significant digits.
+"""
+
+import json
+from itertools import chain, repeat
+
+import numpy as np
 
 
 def fmt12(value: float) -> str:
@@ -6,6 +15,47 @@ def fmt12(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def round12(value: float) -> float:
-    """Round to 12 significant digits (for emitting JSON numbers)."""
-    return float(fmt12(value))
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return fmt12(value)
+    return str(value)
+
+
+def render(rows, fmt: str, widths=()) -> str:
+    """Rows of cells as ``csv`` or ``text``, one line per row.
+
+    CSV joins a row's cells with commas.  Text pads cell ``k`` on the
+    right to ``widths[k]`` and joins the cells with one space; cells
+    past ``widths`` are not padded.  A float cell is written by
+    ``fmt12``, a bool as ``true``/``false``, anything else by ``str``.
+    """
+    sep, widths = (",", ()) if fmt == "csv" else (" ", widths)
+    lines = []
+    for row in rows:
+        cells = (_cell(value).ljust(width) for value, width in zip(row, chain(widths, repeat(0))))
+        lines.append(sep.join(cells) + "\n")
+    return "".join(lines)
+
+
+def _rounded(value):
+    """A copy of ``value`` with every float rounded to the digits ``fmt12`` writes."""
+    if isinstance(value, float):
+        return float(format(value, ".12g"))
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return _rounded(value.tolist())
+    return value
+
+
+def to_json(payload) -> str:
+    """Indented JSON of ``payload``, every float rounded to 12 significant digits.
+
+    Floats inside dicts, lists, tuples and numpy arrays are rounded;
+    ints, bools and strings pass through.
+    """
+    return json.dumps(_rounded(payload), indent=2) + "\n"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, PreconditionViolated
 
 #: Relative slack allowed on each daily step when validating sequences.
 ADMISSIBILITY_TOL = 1e-12
@@ -118,10 +118,12 @@ def downturns(params: MarketParams) -> list[np.ndarray]:
     Sequence ``j`` (1-based) rises by ``alpha`` for ``j`` days, then
     falls by ``1/beta`` for the rest.  Built by stepwise multiplication
     and division (accumulated ufuncs, not powers) so each generated
-    sequence is exactly admissible under stepwise validation.
+    sequence is exactly admissible under stepwise validation.  Raises
+    PreconditionViolated when a rate leaves the float range, rising to
+    ``inf`` or falling to ``0``.
     """
     n = params.n
-    # A rise past the float range becomes inf, as a Python float product does.
+    # An overflow is reported below as PreconditionViolated, not as a warning.
     with np.errstate(over="ignore"):
         rise = np.multiply.accumulate(np.full(n, float(params.alpha)))
     # falls[p, t]: the peak rise[p] divided by beta t times, one step at a time.
@@ -132,7 +134,10 @@ def downturns(params: MarketParams) -> list[np.ndarray]:
     # which puts falls[p, t] on day p + t of the sequence that peaks on
     # day p (0-based); the days up to the peak come from the rise.
     skewed = falls.ravel()[: n * n].reshape(n, n)
-    return list(np.where(np.tri(n, dtype=bool), rise, skewed))
+    rows = np.where(np.tri(n, dtype=bool), rise, skewed)
+    if not (np.isfinite(rise[-1]) and rows.min() > 0.0):
+        raise PreconditionViolated(f"a downturn rate leaves the float range for {params}")
+    return list(rows)
 
 
 def payoff_matrix_K(params: MarketParams) -> np.ndarray:
@@ -222,16 +227,16 @@ def da_ratio(params: MarketParams) -> float:
 def static_ratio_via_downturns(weights, params: MarketParams) -> float:
     """Worst-case ratio of a static strategy, taken over the downturns.
 
-    The downturns dominate every admissible sequence for static
-    strategies, so this maximum is the strategy's true competitive
-    ratio.
+    Column ``j`` of ``K`` is downturn ``j`` divided by its peak, so
+    ``a @ K`` holds the strategy's accumulation relative to the best on
+    each downturn and the ratio is ``1 / min(a @ K)``.  The downturns
+    dominate every admissible sequence for static strategies, so this
+    is the strategy's true competitive ratio.
     """
     a = np.asarray(weights, dtype=float).ravel()
     if a.shape[0] != params.n:
         raise LengthMismatch(f"{a.shape[0]} weights for an n = {params.n} horizon")
-    seqs = np.vstack(downturns(params))
-    best = seqs.max(axis=1)
-    got = seqs @ a
-    if np.any(got <= 0.0):
+    worst = float((a @ payoff_matrix_K(params)).min())
+    if worst <= 0.0:
         raise ZeroDivisionError("strategy accumulates nothing on a downturn")
-    return float((best / got).max())
+    return 1.0 / worst

@@ -11,8 +11,8 @@ from buyhold import (
     ParseError,
     MarketParams,
     PlanWindow,
-    bal_generator,
     bal_ratio,
+    bal_weights,
     compare_report,
     da_ratio,
     da_weights,
@@ -30,6 +30,11 @@ from buyhold import (
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
+
+
+def balanced(alpha, beta):
+    """The balanced strategy's weights for every window length."""
+    return lambda n: bal_weights(MarketParams(alpha, beta, n))
 
 
 def make_window(label, first_day, closes):
@@ -128,7 +133,7 @@ class TestSegmentation:
 class TestRunPlan:
     def test_flat_prices(self):
         window = make_window("1997-01", date(1997, 1, 6), [100.0] * 5)
-        for gen in (bal_generator(2.0, 2.0), da_weights):
+        for gen in (balanced(2.0, 2.0), da_weights):
             result = run_plan(gen, window, 2.0, 2.0)
             assert result.shares == pytest.approx(0.01, rel=1e-12)
             assert result.realized_ratio == pytest.approx(1.0, abs=1e-12)
@@ -138,7 +143,7 @@ class TestRunPlan:
         # Prices (0.5, 0.25, 0.5) are rates (2, 4, 2), the worst case
         # the balanced strategy is tuned for when alpha = beta = 2.
         window = make_window("1997-01", date(1997, 1, 6), [0.5, 0.25, 0.5])
-        result = run_plan(bal_generator(2.0, 2.0), window, 2.0, 2.0)
+        result = run_plan(balanced(2.0, 2.0), window, 2.0, 2.0)
         assert result.realized_ratio == pytest.approx(5.0 / 3.0, rel=1e-12)
         assert result.shares == pytest.approx(2.4, rel=1e-12)
         assert result.currency_value == pytest.approx(1.2, rel=1e-12)
@@ -148,7 +153,7 @@ class TestRunPlan:
         # downturn, so the balanced strategy lands on its exact bound.
         closes = [100.0 / 2.0**i for i in range(6)]
         window = make_window("1997-01", date(1997, 1, 5), closes)
-        result = run_plan(bal_generator(2.0, 2.0), window, 2.0, 2.0)
+        result = run_plan(balanced(2.0, 2.0), window, 2.0, 2.0)
         assert result.realized_ratio == pytest.approx(
             bal_ratio(MarketParams(2.0, 2.0, 6)), rel=1e-12
         )
@@ -167,7 +172,7 @@ class TestRunPlan:
     def test_scale_invariance(self):
         window = make_window("1997-03", date(1997, 3, 3), [100.0, 104.0, 98.0, 100.0])
         scaled = make_window("1997-03", window.dates[0], 7.25 * np.asarray(window.closes))
-        for gen in (bal_generator(TAIPEI_ALPHA, TAIPEI_BETA), da_weights):
+        for gen in (balanced(TAIPEI_ALPHA, TAIPEI_BETA), da_weights):
             a = run_plan(gen, window, TAIPEI_ALPHA, TAIPEI_BETA)
             b = run_plan(gen, scaled, TAIPEI_ALPHA, TAIPEI_BETA)
             assert abs(a.realized_ratio - b.realized_ratio) <= 1e-10
@@ -238,7 +243,7 @@ class TestCompareReport:
             series,
             TAIPEI_ALPHA,
             TAIPEI_BETA,
-            strategies=[("BAL", bal_generator(TAIPEI_ALPHA, TAIPEI_BETA)), ("BROKEN", broken)],
+            strategies=[("BAL", balanced(TAIPEI_ALPHA, TAIPEI_BETA)), ("BROKEN", broken)],
         )
         assert len(report.windows) == 2
         assert all([name for name, _ in w.results] == ["BAL"] for w in report.windows)
@@ -263,6 +268,12 @@ class TestRendering:
         strategy = window["strategies"][0]
         assert set(strategy) == {"name", "shares", "currency_value", "realized_ratio", "violations"}
 
+    def test_integer_bounds_render_as_floats(self):
+        series = synthetic_prices(2.0, 2.0, months=1, seed=3)
+        as_ints = compare_report(series, 2, 2)
+        assert report_json(as_ints) == report_json(compare_report(series, 2.0, 2.0))
+        assert '"alpha": 2.0' in report_json(as_ints)
+
     def test_svg_wellformed(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=4, seed=6)
         svg = report_svg(compare_report(series, TAIPEI_ALPHA, TAIPEI_BETA))
@@ -283,6 +294,11 @@ class TestSynthetic:
     def test_weekdays_only(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=2, seed=1)
         assert all(day.weekday() < 5 for day in series.dates)
+
+    @pytest.mark.parametrize("price", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_bad_initial_price_rejected(self, price):
+        with pytest.raises(ValueError, match="initial_price"):
+            synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=1, initial_price=price)
 
     def test_every_step_within_bounds(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=6, seed=14)

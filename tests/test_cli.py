@@ -194,6 +194,14 @@ class TestDownturns:
         payload = json.loads(out)
         assert payload["downturns"][1] == [2.0, 4.0, 2.0]
 
+    @pytest.mark.parametrize("alpha, beta", [("1e200", "2"), ("2", "1e200")])
+    def test_rate_leaving_float_range_exits_one(self, capsys, alpha, beta):
+        code, out, err = run_cli(
+            capsys, "downturns", "--alpha", alpha, "--beta", beta, "--days", "3", "--format", "csv"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "float range" in err
+
 
 class TestBacktest:
     @pytest.fixture

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from buyhold import (
     LengthMismatch,
     MarketParams,
+    PreconditionViolated,
     bal_adversary,
     bal_ratio,
     bal_weights,
@@ -120,6 +121,12 @@ class TestDownturns:
         fall, rise = downturns(params)
         assert fall == pytest.approx([3.0, 2.0], abs=1e-12)  # alpha, alpha/beta
         assert rise == pytest.approx([3.0, 9.0], abs=1e-12)  # alpha, alpha**2
+
+    @pytest.mark.parametrize("alpha, beta", [(1e200, 2.0), (2.0, 1e200)])
+    def test_rate_leaving_float_range_raises(self, alpha, beta):
+        # A rise overflows to inf, or a fall underflows to 0, on day 2 or 3.
+        with pytest.raises(PreconditionViolated, match="float range"):
+            downturns(MarketParams(alpha, beta, 3))
 
     @pytest.mark.parametrize("n", [2, 3, 21, 100, 252])
     @pytest.mark.parametrize(
@@ -340,6 +347,17 @@ class TestStaticRatio:
     def test_length_checked(self):
         with pytest.raises(LengthMismatch):
             static_ratio_via_downturns([1.0], MarketParams(2.0, 2.0, 3))
+
+    def test_nothing_accumulated_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            static_ratio_via_downturns([0.0, 0.0, 0.0], MarketParams(2.0, 2.0, 3))
+
+    def test_downturn_past_float_range(self):
+        # The downturns themselves overflow here; K's columns do not.
+        params = MarketParams(1e200, 2.0, 3)
+        got = static_ratio_via_downturns(bal_weights(params), params)
+        assert got == pytest.approx(bal_ratio(params), rel=1e-12)
+        assert bal_ratio(params) == pytest.approx(2.0, rel=1e-12)
 
     def test_domination_over_admissible_sequences(self):
         # Extreme sequences (every step at a bound) plus random interior
