@@ -5,7 +5,6 @@ turns a payload into JSON; both give a float 12 significant digits.
 """
 
 import json
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -16,10 +15,10 @@ def fmt12(value: float) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return fmt12(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 
@@ -31,11 +30,14 @@ def render(rows, fmt: str, widths=()) -> str:
     past ``widths`` are not padded.  A float cell is written by
     ``fmt12``, a bool as ``true``/``false``, anything else by ``str``.
     """
-    sep, widths = (",", ()) if fmt == "csv" else (" ", widths)
+    if fmt == "csv":
+        return "".join([",".join(map(_cell, row)) + "\n" for row in rows])
     lines = []
     for row in rows:
-        cells = (_cell(value).ljust(width) for value, width in zip(row, chain(widths, repeat(0))))
-        lines.append(sep.join(cells) + "\n")
+        cells = list(map(_cell, row))
+        for k, width in enumerate(widths[: len(cells)]):
+            cells[k] = cells[k].ljust(width)
+        lines.append(" ".join(cells) + "\n")
     return "".join(lines)
 
 
