@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BuyholdError, DuplicateDate, LengthMismatch, NonPositivePrice, ParseError
+from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError
 from .formatting import render, to_json
-from .market import MarketParams, bal_weights, da_weights
+from .market import MarketParams, bal_weights, check_bounds, da_weights
 from .svgchart import line_chart
 
 #: Default relative slack when flagging daily bound violations.
@@ -170,11 +170,12 @@ def load_prices(source) -> PriceSeries:
     return parse_prices(data)
 
 
-def segment_monthly(series: PriceSeries, min_days: int = 2):
+def segment_monthly(series: PriceSeries):
     """Split a series into calendar-month windows.
 
     Returns ``(windows, skipped)`` where skipped lists ``(label,
-    reason)`` for months with fewer than ``min_days`` trading days.
+    reason)`` for months with a single trading day, on which every
+    strategy is forced (a plan needs ``n >= 2``, see MarketParams).
     """
     if len(series) == 0:
         raise LengthMismatch("price series is empty")
@@ -189,7 +190,7 @@ def segment_monthly(series: PriceSeries, min_days: int = 2):
         if not boundary:
             continue
         label = f"{series.dates[start].year:04d}-{series.dates[start].month:02d}"
-        if i - start >= min_days:
+        if i - start >= 2:
             windows.append(
                 PlanWindow(
                     label=label,
@@ -250,42 +251,30 @@ def run_plan(
 
 
 def compare_report(
-    series: PriceSeries,
-    alpha: float,
-    beta: float,
-    strategies=None,
-    slack: float = VIOLATION_SLACK,
+    series: PriceSeries, alpha: float, beta: float, slack: float = VIOLATION_SLACK
 ) -> BacktestReport:
-    """Run every named strategy on every monthly window.
+    """Run the balanced strategy (BAL) and dollar averaging (DA) on every month.
 
-    ``strategies`` is a list of ``(name, weights_for)`` pairs and
-    defaults to the balanced strategy and dollar averaging.  Per-window
-    failures are recorded as skips rather than aborting the report; the
-    output ordering is fixed by window date, so identical inputs yield
+    Raises ValueError unless ``alpha`` and ``beta`` are finite numbers
+    > 1.  Months too short for a plan are listed as skipped; the output
+    ordering is fixed by window date, so identical inputs yield
     identical reports.
     """
+    check_bounds(alpha, beta)
     alpha, beta = float(alpha), float(beta)
-    if strategies is None:
-        strategies = [
-            ("BAL", lambda n: bal_weights(MarketParams(alpha=alpha, beta=beta, n=n))),
-            ("DA", da_weights),
-        ]
-    if not strategies:
-        raise ValueError("at least one strategy is required")
+    strategies = (
+        ("BAL", lambda n: bal_weights(MarketParams(alpha=alpha, beta=beta, n=n))),
+        ("DA", da_weights),
+    )
     windows, skipped = segment_monthly(series)
-    skipped = list(skipped)
     reports = []
     for window in windows:
-        results = []
-        for name, weights_for in strategies:
-            try:
-                results.append((name, run_plan(weights_for, window, alpha, beta, slack=slack)))
-            except (BuyholdError, ValueError, ZeroDivisionError) as exc:
-                skipped.append((f"{window.label}/{name}", str(exc)))
-        reports.append(WindowReport(label=window.label, n=len(window), results=tuple(results)))
-    return BacktestReport(
-        alpha=alpha, beta=beta, windows=tuple(reports), skipped=tuple(skipped)
-    )
+        results = tuple(
+            (name, run_plan(weights_for, window, alpha, beta, slack=slack))
+            for name, weights_for in strategies
+        )
+        reports.append(WindowReport(label=window.label, n=len(window), results=results))
+    return BacktestReport(alpha=alpha, beta=beta, windows=tuple(reports), skipped=tuple(skipped))
 
 
 def synthetic_prices(
@@ -300,8 +289,10 @@ def synthetic_prices(
 
     Each day's rate factor is drawn uniformly from ``[1/beta, alpha]``,
     so every step (within and across months) respects the bounds; the
-    price moves by the reciprocal factor.
+    price moves by the reciprocal factor.  Raises ValueError unless
+    ``alpha`` and ``beta`` are finite numbers > 1.
     """
+    check_bounds(alpha, beta)
     if months < 1:
         raise ValueError("months must be >= 1")
     if not (math.isfinite(initial_price) and initial_price > 0.0):

@@ -27,13 +27,14 @@ from .backtest import (
 )
 from .errors import BuyholdError, NonPositiveEntry, ParseError
 from .formatting import render, to_json
-from .games import FEASIBILITY_TOL, solve_game
+from .games import solve_game
 from .market import (
     CIRCUIT_BREAKERS,
     MarketParams,
     bal_adversary,
     bal_ratio,
     bal_weights,
+    check_bounds,
     da_ratio,
     downturns,
     preset_bounds,
@@ -42,7 +43,7 @@ from .svgchart import line_chart
 
 
 def tolerance(text: str) -> float:
-    """Argument type for ``--tolerance``: a finite number >= 0."""
+    """Argument type for ``backtest --tolerance``: a finite number >= 0."""
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
@@ -87,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[output], help="solve a payoff matrix given as CSV")
     p.add_argument("matrix", help="CSV file, row-major, no header, all entries > 0")
     add_format(p, ["text", "json", "csv"])
-    p.add_argument("--tolerance", type=tolerance, default=FEASIBILITY_TOL, help="LP feasibility tolerance")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[bounds, output], help="ratio curves over a horizon range")
@@ -130,10 +130,10 @@ def resolve_bounds(args, parser) -> tuple[float, float]:
         return preset_bounds(args.preset)
     if args.alpha is None or args.beta is None:
         parser.error("either --preset or both --alpha and --beta are required")
-    if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
-        parser.error("--alpha and --beta must be finite")
-    if args.alpha <= 1.0 or args.beta <= 1.0:
-        parser.error("--alpha and --beta must both exceed 1")
+    try:
+        check_bounds(args.alpha, args.beta)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.alpha, args.beta
 
 
@@ -183,7 +183,7 @@ def read_matrix_csv(text: str) -> np.ndarray:
 def cmd_solve(args, parser) -> str:
     with open(args.matrix, "r", encoding="utf-8") as handle:
         H = read_matrix_csv(handle.read())
-    solution, route = solve_game(H, tol=args.tolerance)
+    solution, route = solve_game(H)
     fields = {
         "value": solution.value,
         "ratio": solution.ratio,

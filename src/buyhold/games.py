@@ -28,12 +28,12 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import PIVOT_TOL, inverse_sums
-from .simplex import solve_packing
+from .simplex import FEASIBILITY_TOL, solve_packing
 
-#: Default feasibility tolerance for LP-based solving.
-FEASIBILITY_TOL = 1e-9
-#: Default tolerance when comparing objectives and equilibrium payoffs.
+#: Largest constraint residual the LP route accepts.
 OPTIMALITY_TOL = 1e-8
+#: Payoffs within this of the minimum tie for the worst case.
+TIE_TOL = 1e-10
 
 
 def as_payoff_matrix(matrix) -> np.ndarray:
@@ -91,32 +91,30 @@ class GameSolution:
             arr.flags.writeable = False
 
 
-def solve_primal_dual(H, tol: float = FEASIBILITY_TOL) -> LpSolution:
+def solve_primal_dual(H) -> LpSolution:
     """Solve the primal and dual programs for ``H`` on one simplex tableau.
 
     ``y`` and ``dual_objective`` come from the final basis, ``x`` from
     the slack reduced costs, and ``primal_objective`` is ``sum(x)``.
     Raises NumericalFailure if ``max(1 - xH)`` or ``max(Hy - 1)``
-    exceeds OPTIMALITY_TOL, as when a large ``tol`` stops the pivots
-    short of the optimum.
+    exceeds OPTIMALITY_TOL, as when the pivots stop short of the
+    optimum.
     """
     H = as_payoff_matrix(H)
-    x, y, dual = solve_packing(H, tol=tol)
+    x, y, dual = solve_packing(H)
     residual = max(float(np.max(1.0 - x @ H)), float(np.max(H @ y - 1.0)))
     if residual > OPTIMALITY_TOL:
-        raise NumericalFailure(
-            f"LP solution violates its constraints by {residual:.3e} at tolerance {tol:g}"
-        )
+        raise NumericalFailure(f"LP solution violates its constraints by {residual:.3e}")
     return LpSolution(x=x, y=y, primal_objective=float(x.sum()), dual_objective=dual)
 
 
-def solve_game_lp(H, tol: float = FEASIBILITY_TOL) -> GameSolution:
+def solve_game_lp(H) -> GameSolution:
     """Solve the game by linear programming.
 
     Works for any positive payoff matrix, rectangular included.  This
     route never certifies uniqueness (``unique`` is always False).
     """
-    lp = solve_primal_dual(H, tol=tol)
+    lp = solve_primal_dual(H)
     ratio = float(lp.x.sum())
     return GameSolution(
         value=1.0 / ratio,
@@ -127,20 +125,20 @@ def solve_game_lp(H, tol: float = FEASIBILITY_TOL) -> GameSolution:
     )
 
 
-def solve_game_closed_form(H, zero_tol: float = PIVOT_TOL) -> GameSolution:
+def solve_game_closed_form(H) -> GameSolution:
     """Solve a square nonsingular game through the matrix inverse.
 
     With ``x`` the column sums and ``y`` the row sums of ``H^-1`` (taken
     from one LU factorisation by ``linalg.inverse_sums``), both
     nonnegative, the ratio is ``sum(x)`` and the strategies are the
-    normalized vectors.  Components in ``[-zero_tol, 0)`` are rounding
+    normalized vectors.  Components in ``[-PIVOT_TOL, 0)`` are rounding
     noise and clipped to zero; anything more negative means this route
     does not apply and the caller must fall back to solve_game_lp.
 
     Raises SingularMatrixError if ``H`` is singular, and
     PreconditionViolated if ``H`` is not square or a component of the
     candidate solutions is genuinely negative.  ``unique`` is True iff
-    every component of both candidates exceeds ``zero_tol``.
+    every component of both candidates exceeds ``PIVOT_TOL``.
 
     Unlike the LP route, the algebra here never divides by payoff
     entries, so matrices with zero entries (e.g. the identity) are
@@ -153,13 +151,13 @@ def solve_game_closed_form(H, zero_tol: float = PIVOT_TOL) -> GameSolution:
     if m != n:
         raise PreconditionViolated(f"closed form needs a square matrix, got {m}x{n}")
     x, y = inverse_sums(H)
-    if x.min() < -zero_tol or y.min() < -zero_tol:
+    if x.min() < -PIVOT_TOL or y.min() < -PIVOT_TOL:
         raise PreconditionViolated(
             "inverse-based candidate has a negative component; use solve_game_lp"
         )
     x = np.where(x < 0.0, 0.0, x)
     y = np.where(y < 0.0, 0.0, y)
-    unique = bool(np.all(x > zero_tol) and np.all(y > zero_tol))
+    unique = bool(np.all(x > PIVOT_TOL) and np.all(y > PIVOT_TOL))
     ratio = float(x.sum())
     if ratio <= 0.0:
         raise PreconditionViolated("candidate solution sums to zero")
@@ -172,7 +170,7 @@ def solve_game_closed_form(H, zero_tol: float = PIVOT_TOL) -> GameSolution:
     )
 
 
-def solve_game(H, tol: float = FEASIBILITY_TOL) -> tuple[GameSolution, str]:
+def solve_game(H) -> tuple[GameSolution, str]:
     """Solve by the closed form when it applies, else by LP.
 
     Returns ``(solution, route)`` where route is ``"closed-form"`` or
@@ -184,15 +182,15 @@ def solve_game(H, tol: float = FEASIBILITY_TOL) -> tuple[GameSolution, str]:
             return solve_game_closed_form(H), "closed-form"
         except (SingularMatrixError, PreconditionViolated):
             pass
-    return solve_game_lp(H, tol=tol), "lp"
+    return solve_game_lp(H), "lp"
 
 
-def worst_case_columns(H, x, tie_tol: float = 1e-10) -> set[int]:
+def worst_case_columns(H, x) -> set[int]:
     """Columns attaining the minimum of ``x @ H`` (0-based indices).
 
     These index the adversary's worst-case pure strategies against the
     mixed row strategy ``x / sum(x)``.  All minimizers within
-    ``tie_tol`` are returned, since an equalizing strategy ties on
+    ``TIE_TOL`` are returned, since an equalizing strategy ties on
     every column.
     """
     H = as_payoff_matrix(H)
@@ -202,17 +200,17 @@ def worst_case_columns(H, x, tie_tol: float = 1e-10) -> set[int]:
     if np.any(x < 0.0) or not np.any(x > 0.0):
         raise PreconditionViolated("x must be nonnegative and nonzero")
     against = x @ H
-    return set(np.flatnonzero(against <= against.min() + tie_tol).tolist())
+    return set(np.flatnonzero(against <= against.min() + TIE_TOL).tolist())
 
 
-def check_extreme_point(H, x, y, rows, cols, tol: float = 1e-9) -> bool:
+def check_extreme_point(H, x, y, rows, cols) -> bool:
     """Verify an extreme-point certificate for optimal solutions x, y.
 
     ``rows`` and ``cols`` (0-based) select a square submatrix H'.  The
     certificate holds iff H' is nonsingular, the selected components of
-    x and y solve ``x' H' = 1`` and ``H' y' = 1`` within ``tol``, and x
-    and y vanish off the selected support.  A non-square selection is
-    simply not a certificate and yields False.
+    x and y solve ``x' H' = 1`` and ``H' y' = 1`` within
+    ``FEASIBILITY_TOL``, and x and y vanish off the selected support.  A
+    non-square selection is simply not a certificate and yields False.
 
     Feasibility of x and y for the primal/dual pair is the caller's
     responsibility; only the certificate conditions are checked here.
@@ -236,10 +234,11 @@ def check_extreme_point(H, x, y, rows, cols, tol: float = 1e-9) -> bool:
         return False
     off_rows = np.setdiff1d(np.arange(m), rows)
     off_cols = np.setdiff1d(np.arange(n), cols)
-    if np.any(np.abs(x[off_rows]) > tol) or np.any(np.abs(y[off_cols]) > tol):
+    off_support = np.concatenate((x[off_rows], y[off_cols]))
+    if np.any(np.abs(off_support) > FEASIBILITY_TOL):
         return False
-    if np.max(np.abs(x[rows] @ sub - 1.0)) > tol:
+    if np.max(np.abs(x[rows] @ sub - 1.0)) > FEASIBILITY_TOL:
         return False
-    if np.max(np.abs(sub @ y[cols] - 1.0)) > tol:
+    if np.max(np.abs(sub @ y[cols] - 1.0)) > FEASIBILITY_TOL:
         return False
     return True

@@ -8,7 +8,7 @@ from .errors import DimensionMismatch, SingularMatrixError
 PIVOT_TOL = 1e-12
 
 
-def inverse_sums(matrix, pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def inverse_sums(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(x, y)`` with ``x = 1ᵀM⁻¹`` and ``y = M⁻¹1`` for a square ``M``.
 
     LU with partial pivoting, ``PM = LU``, in place on one copy of
@@ -21,7 +21,7 @@ def inverse_sums(matrix, pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, np.n
     column end as ``L⁻¹P1`` and the ones row as ``w`` with ``wU = 1ᵀ``;
     two back-substitutions then give ``Uy = L⁻¹P1`` and ``Lᵀ(Px) = w``.
     Raises SingularMatrixError as soon as the best available pivot
-    magnitude drops below ``pivot_tol``.
+    magnitude drops below ``PIVOT_TOL``.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
@@ -39,9 +39,9 @@ def inverse_sums(matrix, pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, np.n
         column -= a[k:, :k] @ a[:k, k]
         pivot_row = k + int(np.abs(a[k:n, k]).argmax())
         pivot = a[pivot_row, k]
-        if abs(pivot) < pivot_tol:
+        if abs(pivot) < PIVOT_TOL:
             raise SingularMatrixError(
-                f"pivot {pivot:.3e} below threshold {pivot_tol:g} in column {k}"
+                f"pivot {pivot:.3e} below threshold {PIVOT_TOL:g} in column {k}"
             )
         if pivot_row != k:
             a[[k, pivot_row]] = a[[pivot_row, k]]

@@ -41,6 +41,13 @@ CIRCUIT_BREAKERS = {
 }
 
 
+def check_bounds(alpha, beta) -> None:
+    """Raise ValueError unless ``alpha`` and ``beta`` are finite numbers > 1."""
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (value > 1.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number > 1, got {value}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Daily return bounds and horizon length.
@@ -55,10 +62,7 @@ class MarketParams:
     n: int
 
     def __post_init__(self):
-        if not (self.alpha > 1.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be a finite number > 1, got {self.alpha}")
-        if not (self.beta > 1.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be a finite number > 1, got {self.beta}")
+        check_bounds(self.alpha, self.beta)
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError(f"horizon n must be an integer >= 2, got {self.n}")
 

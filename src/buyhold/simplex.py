@@ -22,19 +22,21 @@ import numpy as np
 
 from .errors import NumericalFailure
 
+#: Reduced costs, column entries and ratio-test gaps within this of
+#: zero count as zero.
+FEASIBILITY_TOL = 1e-9
 #: Pivot cap per tableau row and column; unreachable under Bland's rule.
 PIVOTS_PER_LINE = 200
 
 
-def solve_packing(H, tol: float = 1e-9):
+def solve_packing(H):
     """Solve ``max 1.y s.t. H y <= 1`` and its dual on one tableau.
 
     Returns ``(x, y, objective)``: ``y`` is read from the final basis,
     ``x`` from the reduced costs of the slacks, and ``objective`` is the
     optimal ``1.y``.  Raises ValueError unless ``H`` is a nonempty 2-D
-    matrix, and NumericalFailure if the pivots stall (no blocking row,
-    the iteration cap, or a ``tol`` so large that no pivot is taken),
-    which a positive ``H`` with a small ``tol`` never causes.
+    matrix, and NumericalFailure if the pivots stall (no blocking row or
+    the iteration cap), which a positive ``H`` never causes.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.size == 0:
@@ -46,11 +48,7 @@ def solve_packing(H, tol: float = 1e-9):
     T[:m, -1] = 1.0
     T[-1, :n] = -1.0
     basis = np.arange(n, n + m)
-    _pivot_until_optimal(T, basis, tol, PIVOTS_PER_LINE * (2 * m + n + 10))
-    if not T[-1, -1] > 0.0:
-        # A positive H has a positive optimum.  Every initial reduced
-        # cost is -1, so a tol of 1 or more stops before any pivot.
-        raise NumericalFailure(f"tolerance {tol:g} left the objective at {T[-1, -1]:g}")
+    _pivot_until_optimal(T, basis, PIVOTS_PER_LINE * (2 * m + n + 10))
 
     y = np.zeros(n + m)
     y[basis] = T[:m, -1]
@@ -67,21 +65,21 @@ def _pivot(T, row, col):
     T[row, col] = 1.0
 
 
-def _pivot_until_optimal(T, basis, tol, max_iter):
+def _pivot_until_optimal(T, basis, max_iter):
     m = T.shape[0] - 1
     for _ in range(max_iter):
-        negative = np.flatnonzero(T[-1, :-1] < -tol)
+        negative = np.flatnonzero(T[-1, :-1] < -FEASIBILITY_TOL)
         if negative.size == 0:
             return
         enter = int(negative[0])  # Bland: lowest eligible index
         col = T[:m, enter]
-        blocking = col > tol
+        blocking = col > FEASIBILITY_TOL
         if not blocking.any():
             raise NumericalFailure(f"entering column {enter} has no blocking row")
         ratios = np.full(m, np.inf)
         ratios[blocking] = T[:m, -1][blocking] / col[blocking]
         rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + tol * (1.0 + abs(rmin)))
+        ties = np.flatnonzero(ratios <= rmin + FEASIBILITY_TOL * (1.0 + abs(rmin)))
         leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
         _pivot(T, leave, enter)
         basis[leave] = enter

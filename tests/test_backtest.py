@@ -30,6 +30,15 @@ from buyhold import (
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
+#: (alpha, beta) pairs that break the rule "finite and > 1" in one bound.
+BAD_BOUNDS = [
+    (0.5, TAIPEI_BETA),
+    (TAIPEI_ALPHA, 0.5),
+    (float("nan"), 2.0),
+    (2.0, float("nan")),
+    (float("inf"), 2.0),
+    (2.0, float("inf")),
+]
 
 
 def balanced(alpha, beta):
@@ -233,26 +242,11 @@ class TestCompareReport:
         second = report_json(compare_report(series, TAIPEI_ALPHA, TAIPEI_BETA))
         assert first == second
 
-    def test_failing_strategy_becomes_skip(self):
-        series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=2, seed=5)
-
-        def broken(n):
-            raise ValueError("no weights today")
-
-        report = compare_report(
-            series,
-            TAIPEI_ALPHA,
-            TAIPEI_BETA,
-            strategies=[("BAL", balanced(TAIPEI_ALPHA, TAIPEI_BETA)), ("BROKEN", broken)],
-        )
-        assert len(report.windows) == 2
-        assert all([name for name, _ in w.results] == ["BAL"] for w in report.windows)
-        assert [label for label, _ in report.skipped] == ["1997-01/BROKEN", "1997-02/BROKEN"]
-
-    def test_requires_a_strategy(self):
+    @pytest.mark.parametrize("alpha, beta", BAD_BOUNDS)
+    def test_bad_bounds_rejected(self, alpha, beta):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=1, seed=0)
-        with pytest.raises(ValueError):
-            compare_report(series, TAIPEI_ALPHA, TAIPEI_BETA, strategies=[])
+        with pytest.raises(ValueError, match="finite number > 1"):
+            compare_report(series, alpha, beta)
 
 
 class TestRendering:
@@ -299,6 +293,11 @@ class TestSynthetic:
     def test_bad_initial_price_rejected(self, price):
         with pytest.raises(ValueError, match="initial_price"):
             synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=1, initial_price=price)
+
+    @pytest.mark.parametrize("alpha, beta", BAD_BOUNDS)
+    def test_bad_bounds_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite number > 1"):
+            synthetic_prices(alpha, beta, months=1)
 
     def test_every_step_within_bounds(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=6, seed=14)

@@ -112,15 +112,14 @@ class TestSolve:
     def test_bad_tolerance_is_usage_error(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n2,1\n3,0.5\n")
-        for bad in ("-1e-9", "nan", "inf"):
+        # solve has no --tolerance: the default is the only one that is right.
+        for bad in ("-1e-9", "nan", "inf", "1e-9"):
             usage_error("solve", str(path), f"--tolerance={bad}")
 
-    def test_tolerance_that_stops_short_exits_one(self, tmp_path, capsys):
-        # The value is 11/7; a tolerance of 0.5 stops the simplex at value 1.
+    def test_lp_route_prints_exact_value(self, tmp_path, capsys):
+        # A 3x2 game, so the LP route runs; its value is 11/7.
         path = tmp_path / "m.csv"
         path.write_text("1,2\n2,1\n3,0.5\n")
-        code, out, err = run_cli(capsys, "solve", str(path), "--tolerance", "0.5")
-        assert code == 1 and out == "" and "error:" in err
         code, out, _ = run_cli(capsys, "solve", str(path))
         assert code == 0 and out.startswith(f"value      {fmt12(11 / 7)}\n")
 
