@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError
-from .formatting import render, to_json
+from .formatting import parse_decimal, render, to_json
 from .market import MarketParams, bal_weights, check_bounds, da_weights
 from .svgchart import line_chart
 
@@ -114,8 +114,9 @@ def parse_prices(text: str) -> PriceSeries:
     """Parse ``date,close`` CSV text into a PriceSeries.
 
     The header must be exactly ``date,close``; dates are ISO-8601 and
-    are sorted (with a flag) if they arrive out of order.  Duplicate
-    dates and non-positive prices are rejected.
+    are sorted (with a flag) if they arrive out of order, and closes are
+    in the ``formatting.DECIMAL`` grammar.  Duplicate dates and
+    non-positive prices are rejected.
     """
     reader = csv.reader(io.StringIO(text.lstrip("﻿")))
     rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
@@ -137,7 +138,7 @@ def parse_prices(text: str) -> PriceSeries:
         except ValueError as exc:
             raise ParseError(f"bad date: {exc}", row=lineno, column=1) from None
         try:
-            close = float(row[1])
+            close = parse_decimal(row[1])
         except ValueError:
             raise ParseError(f"bad price {row[1]!r}", row=lineno, column=2) from None
         if not np.isfinite(close) or close <= 0.0:
@@ -212,12 +213,9 @@ def find_violations(rates, alpha: float, beta: float, slack: float = VIOLATION_S
     """
     e = np.asarray(rates, dtype=float).ravel()
     lo, hi = 1.0 / beta, alpha
-    out = []
-    for i in range(1, e.shape[0]):
-        factor = e[i] / e[i - 1]
-        if factor < lo * (1.0 - slack) or factor > hi * (1.0 + slack):
-            out.append(Violation(day=i, factor=float(factor), lo=lo, hi=hi))
-    return tuple(out)
+    factors = e[1:] / e[:-1]
+    steps = np.flatnonzero((factors < lo * (1.0 - slack)) | (factors > hi * (1.0 + slack)))
+    return tuple(Violation(day=int(i) + 1, factor=float(factors[i]), lo=lo, hi=hi) for i in steps)
 
 
 def run_plan(

@@ -25,8 +25,8 @@ from .backtest import (
     synthetic_prices,
     VIOLATION_SLACK,
 )
-from .errors import BuyholdError, NonPositiveEntry, ParseError
-from .formatting import render, to_json
+from .errors import BuyholdError, ParseError
+from .formatting import parse_decimal, render, to_json
 from .games import solve_game
 from .market import (
     CIRCUIT_BREAKERS,
@@ -40,6 +40,13 @@ from .market import (
     preset_bounds,
 )
 from .svgchart import line_chart
+
+#: Largest horizon for ``weights --days`` and ``sweep --to``, whose work is linear in it.
+MAX_DAYS = 10000
+#: Largest ``downturns --days``: the output holds n² rates.
+MAX_DOWNTURN_DAYS = 1000
+#: Largest ``synth --months`` (100 years); every calendar day is visited.
+MAX_MONTHS = 1200
 
 
 def tolerance(text: str) -> float:
@@ -81,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default="text", help="output format")
 
     p = sub.add_parser("weights", parents=[bounds, output], help="balanced strategy weights and ratio")
-    p.add_argument("--days", type=int, required=True, help="horizon length in days (>= 2)")
+    p.add_argument("--days", type=int, required=True, help=f"horizon length in days (2 to {MAX_DAYS})")
     add_format(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_weights)
 
@@ -92,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[bounds, output], help="ratio curves over a horizon range")
     p.add_argument("--from", dest="n_from", type=int, required=True, metavar="N", help="first horizon")
-    p.add_argument("--to", dest="n_to", type=int, required=True, metavar="N", help="last horizon (inclusive)")
+    p.add_argument("--to", dest="n_to", type=int, required=True, metavar="N", help=f"last horizon (<= {MAX_DAYS})")
     add_format(p, ["text", "json", "csv", "svg"])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("downturns", parents=[bounds, output], help="worst-case rate sequences")
-    p.add_argument("--days", type=int, required=True, help="horizon length in days (>= 2)")
+    p.add_argument("--days", type=int, required=True, help=f"horizon length in days (2 to {MAX_DOWNTURN_DAYS})")
     add_format(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_downturns)
 
@@ -113,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("synth", parents=[bounds, output], help="seeded synthetic admissible price CSV")
-    p.add_argument("--months", type=int, default=12, help="number of calendar months")
+    p.add_argument("--months", type=int, default=12, help=f"number of calendar months (1 to {MAX_MONTHS})")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--start", type=date.fromisoformat, default=date(1997, 1, 1), help="first day (ISO)")
     p.add_argument("--price", type=price, default=100.0, help="initial price (> 0)")
@@ -137,15 +144,15 @@ def resolve_bounds(args, parser) -> tuple[float, float]:
     return args.alpha, args.beta
 
 
-def resolve_params(args, parser) -> MarketParams:
+def resolve_params(args, parser, max_days) -> MarketParams:
     alpha, beta = resolve_bounds(args, parser)
-    if args.days < 2:
-        parser.error("--days must be at least 2")
+    if not 2 <= args.days <= max_days:
+        parser.error(f"--days must be between 2 and {max_days}")
     return MarketParams(alpha=alpha, beta=beta, n=args.days)
 
 
 def cmd_weights(args, parser) -> str:
-    params = resolve_params(args, parser)
+    params = resolve_params(args, parser, MAX_DAYS)
     b = bal_weights(params)
     c = bal_adversary(params)
     r = bal_ratio(params)
@@ -160,12 +167,13 @@ def cmd_weights(args, parser) -> str:
 
 
 def read_matrix_csv(text: str) -> np.ndarray:
+    """Rows of ``formatting.DECIMAL`` cells as a matrix; solve_game checks the entries."""
     rows = []
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row:
             continue
         try:
-            rows.append([float(cell) for cell in row])
+            rows.append([parse_decimal(cell) for cell in row])
         except ValueError as exc:
             raise ParseError(f"bad matrix entry: {exc}", row=lineno) from None
         if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
@@ -174,10 +182,7 @@ def read_matrix_csv(text: str) -> np.ndarray:
             )
     if not rows:
         raise ParseError("no matrix rows", row=1)
-    matrix = np.array(rows)
-    if np.any(matrix <= 0.0) or not np.all(np.isfinite(matrix)):
-        raise NonPositiveEntry("matrix entries must be finite and positive")
-    return matrix
+    return np.array(rows)
 
 
 def cmd_solve(args, parser) -> str:
@@ -203,8 +208,8 @@ def cmd_sweep(args, parser) -> str:
     alpha, beta = resolve_bounds(args, parser)
     if args.n_from < 2 or args.n_to < args.n_from:
         parser.error("need 2 <= --from <= --to")
-    if args.n_to > 10000:
-        parser.error("--to is capped at 10000")
+    if args.n_to > MAX_DAYS:
+        parser.error(f"--to is capped at {MAX_DAYS}")
     ns = range(args.n_from, args.n_to + 1)
     rows = []
     for n in ns:
@@ -221,7 +226,7 @@ def cmd_sweep(args, parser) -> str:
 
 
 def cmd_downturns(args, parser) -> str:
-    params = resolve_params(args, parser)
+    params = resolve_params(args, parser, MAX_DOWNTURN_DAYS)
     seqs = downturns(params)
     if args.format == "json":
         return to_json({"downturns": seqs})
@@ -243,8 +248,8 @@ def cmd_backtest(args, parser) -> str:
 
 def cmd_synth(args, parser) -> str:
     alpha, beta = resolve_bounds(args, parser)
-    if args.months < 1:
-        parser.error("--months must be at least 1")
+    if not 1 <= args.months <= MAX_MONTHS:
+        parser.error(f"--months must be between 1 and {MAX_MONTHS}")
     series = synthetic_prices(
         alpha, beta, months=args.months, seed=args.seed, start=args.start, initial_price=args.price
     )

@@ -2,16 +2,34 @@
 
 ``render`` turns rows of cells into CSV or aligned text, ``to_json``
 turns a payload into JSON; both give a float 12 significant digits.
+``parse_decimal`` is the one grammar for the numbers the package reads.
 """
 
 import json
+import re
 
 import numpy as np
+
+#: An optionally signed ASCII decimal with an optional exponent, padded
+#: by spaces or tabs: every form ``repr`` writes for a finite float.
+DECIMAL = re.compile(r"[ \t]*[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?[ \t]*")
 
 
 def fmt12(value: float) -> str:
     """Format a number with 12 significant digits."""
     return format(float(value), ".12g")
+
+
+def parse_decimal(text: str) -> float:
+    """Read ``text`` as a number in the DECIMAL grammar.
+
+    Raises ValueError for anything else, including the forms ``float``
+    alone would take: digit-group underscores, non-ASCII digits or
+    spaces, ``inf`` and ``nan``.
+    """
+    if not DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
 
 
 def _cell(value) -> str:

@@ -30,7 +30,7 @@ from .errors import (
 from .linalg import PIVOT_TOL, inverse_sums
 from .simplex import FEASIBILITY_TOL, solve_packing
 
-#: Largest constraint residual the LP route accepts.
+#: Largest constraint residual, and relative duality gap, the LP route accepts.
 OPTIMALITY_TOL = 1e-8
 #: Payoffs within this of the minimum tie for the worst case.
 TIE_TOL = 1e-10
@@ -97,15 +97,21 @@ def solve_primal_dual(H) -> LpSolution:
     ``y`` and ``dual_objective`` come from the final basis, ``x`` from
     the slack reduced costs, and ``primal_objective`` is ``sum(x)``.
     Raises NumericalFailure if ``max(1 - xH)`` or ``max(Hy - 1)``
-    exceeds OPTIMALITY_TOL, as when the pivots stop short of the
-    optimum.
+    exceeds OPTIMALITY_TOL, or if the duality gap ``|sum(x) - sum(y)|``
+    exceeds OPTIMALITY_TOL times ``sum(x)``: then ``x`` and ``y`` are
+    not both optimal.  The gap is relative because ``sum(x)`` is the
+    reciprocal of the game value, so it scales with ``1/H``.
     """
     H = as_payoff_matrix(H)
     x, y, dual = solve_packing(H)
     residual = max(float(np.max(1.0 - x @ H)), float(np.max(H @ y - 1.0)))
     if residual > OPTIMALITY_TOL:
         raise NumericalFailure(f"LP solution violates its constraints by {residual:.3e}")
-    return LpSolution(x=x, y=y, primal_objective=float(x.sum()), dual_objective=dual)
+    primal = float(x.sum())
+    gap = abs(primal - float(y.sum()))
+    if gap > OPTIMALITY_TOL * primal:
+        raise NumericalFailure(f"LP solution has a duality gap of {gap:.3e} on {primal:.6g}")
+    return LpSolution(x=x, y=y, primal_objective=primal, dual_objective=dual)
 
 
 def solve_game_lp(H) -> GameSolution:

@@ -11,6 +11,7 @@ from buyhold import (
     ParseError,
     MarketParams,
     PlanWindow,
+    Violation,
     bal_ratio,
     bal_weights,
     compare_report,
@@ -27,6 +28,7 @@ from buyhold import (
     series_csv,
     synthetic_prices,
 )
+from buyhold.backtest import VIOLATION_SLACK
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
@@ -82,6 +84,21 @@ class TestParsing:
         assert err.value.column == 2
         with pytest.raises(ParseError):
             parse_prices("date,close\n1997-01-02,100,extra\n")
+
+    @pytest.mark.parametrize(
+        "close", ["1_000", "\u0663", "\uff11", "\u00a01", "0x10", "1e", "1.2.3", "inf", "nan", ""]
+    )
+    def test_close_outside_decimal_grammar(self, close):
+        with pytest.raises(ParseError) as err:
+            parse_prices(f"date,close\n1997-01-02,{close}\n")
+        assert (err.value.row, err.value.column) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "close, value",
+        [("1e-05", 1e-05), ("1.5e+20", 1.5e20), (" 100.0 ", 100.0), ("7", 7.0), (".5", 0.5), ("5.", 5.0)],
+    )
+    def test_close_in_decimal_grammar(self, close, value):
+        assert parse_prices(f"date,close\n1997-01-02,{close}\n").closes.tolist() == [value]
 
     def test_nonpositive_price(self):
         with pytest.raises(NonPositivePrice):
@@ -206,6 +223,33 @@ class TestViolations:
         result = run_plan(da_weights, window, TAIPEI_ALPHA, TAIPEI_BETA)
         assert result.shares > 0.0
         assert len(result.violations) == 1
+
+    @staticmethod
+    def reference_violations(rates, alpha, beta, slack=VIOLATION_SLACK):
+        # The day-by-day loop find_violations replaced.
+        lo, hi = 1.0 / beta, alpha
+        out = []
+        for i in range(1, len(rates)):
+            factor = rates[i] / rates[i - 1]
+            if factor < lo * (1.0 - slack) or factor > hi * (1.0 + slack):
+                out.append(Violation(day=i, factor=float(factor), lo=lo, hi=hi))
+        return tuple(out)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_daily_loop_on_dense_series(self, seed):
+        # Daily log-moves uniform on twice the largest admissible move,
+        # so many steps break the bounds.
+        rng = np.random.default_rng(seed)
+        alpha, beta = (TAIPEI_ALPHA, TAIPEI_BETA) if seed % 2 else (1 / 0.95, 1.30)
+        limit = 2.0 * min(np.log(alpha), np.log(beta))
+        n = int(rng.integers(2, 300))
+        rates = np.exp(np.cumsum(rng.uniform(-limit, limit, size=n))) * rng.uniform(1e-3, 0.1)
+        for slack in (0.0, VIOLATION_SLACK, 0.05):
+            want = self.reference_violations(rates, alpha, beta, slack)
+            got = find_violations(rates, alpha, beta, slack=slack)
+            assert got == want
+            assert [type(v.day) for v in got] == [int] * len(got)
+        assert len(find_violations(rates, alpha, beta)) > n // 8
 
     def test_admissible_series_has_none(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=3, seed=11)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from buyhold.cli import main
+from buyhold import ParseError
+from buyhold import cli
+from buyhold.cli import main, read_matrix_csv
 from buyhold.formatting import fmt12
 from buyhold.market import MarketParams, payoff_matrix_K, validate_sequence
 
@@ -101,8 +103,20 @@ class TestSolve:
         path.write_text("1,2\n3\n")
         code, _, err = run_cli(capsys, "solve", str(path))
         assert code == 1
+        for bad in ("1_0,2\n3,4\n", "1,2\n\u0663,4\n", "1,nan\n3,4\n", "1,inf\n3,4\n", "1,0\n3,4\n"):
+            path.write_text(bad, encoding="utf-8")
+            code, out, err = run_cli(capsys, "solve", str(path))
+            assert (code, out) == (1, "") and err.startswith("error: ")
         code, _, err = run_cli(capsys, "solve", str(tmp_path / "missing.csv"))
         assert code == 1
+
+    def test_matrix_cell_grammar(self):
+        with pytest.raises(ParseError):
+            read_matrix_csv("1_0,2\n\u0663,4\n")
+        with pytest.raises(ParseError):
+            read_matrix_csv("1,\uff12\n3,4\n")
+        cells = read_matrix_csv("1e-05, 1.5e+20\n0.7142857142857143 ,3\n")
+        assert cells.tolist() == [[1e-05, 1.5e20], [0.7142857142857143, 3.0]]
 
     def test_svg_not_offered(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -313,6 +327,36 @@ class TestSynth:
         usage_error("synth", "--preset", "taipei", "--price", "-5")
         usage_error("synth", "--preset", "taipei", "--price", "nan")
         usage_error("synth")
+
+
+class TestSizeCaps:
+    @pytest.fixture
+    def forbid_work(self, monkeypatch):
+        # Past a cap nothing may be computed: argument validation exits first.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started past a size cap")
+
+        for name in ("bal_weights", "bal_ratio", "downturns", "synthetic_prices"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.usefixtures("forbid_work")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weights", "--preset", "taipei", "--days", "10001"],
+            ["weights", "--preset", "taipei", "--days", "1000000000"],
+            ["sweep", "--preset", "taipei", "--from", "2", "--to", "10001"],
+            ["downturns", "--preset", "taipei", "--days", "1001"],
+            ["downturns", "--preset", "taipei", "--days", "100000"],
+            ["synth", "--preset", "taipei", "--months", "1201"],
+        ],
+    )
+    def test_past_cap_is_usage_error(self, argv):
+        usage_error(*argv)
+
+    def test_weights_at_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "weights", "--preset", "taipei", "--days", "10000", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 10002
 
 
 def test_unknown_command_is_usage_error():

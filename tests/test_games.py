@@ -5,6 +5,7 @@ from buyhold import (
     OPTIMALITY_TOL,
     DimensionMismatch,
     NonPositiveEntry,
+    NumericalFailure,
     PreconditionViolated,
     as_payoff_matrix,
     check_extreme_point,
@@ -15,6 +16,7 @@ from buyhold import (
     solve_primal_dual,
     worst_case_columns,
 )
+from buyhold import games
 from buyhold.market import MarketParams, payoff_matrix_K
 
 SYM2 = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -165,11 +167,24 @@ def test_duality_feasibility_and_saddle(H):
     assert (H @ sol.adversary_strategy).max() <= sol.value + OPTIMALITY_TOL
 
 
+def test_duality_gap_raises(monkeypatch):
+    # x = (1, 1) and y = (1/3, 1/3) are feasible for [[1, 2], [2, 1]],
+    # but only y is optimal: sum(x) = 2 against sum(y) = 2/3.
+    def feasible_with_gap(H):
+        return np.array([1.0, 1.0]), np.array([1.0, 1.0]) / 3.0, 2.0 / 3.0
+
+    monkeypatch.setattr(games, "solve_packing", feasible_with_gap)
+    with pytest.raises(NumericalFailure, match="duality gap"):
+        solve_primal_dual([[1.0, 2.0], [2.0, 1.0]])
+
+
 def test_scale_covariance():
     rng = np.random.default_rng(42)
     H = rng.uniform(0.5, 3.0, size=(5, 7))
     base = solve_game_lp(H)
-    for lam in (0.25, 3.0):
+    # At 3e-8 the ratio is about 2e7 and its rounding gap is 1.5e-8, so
+    # the duality gap must be checked relative to the ratio.
+    for lam in (0.25, 3.0, 3e-8):
         scaled = solve_game_lp(lam * H)
         assert scaled.value == pytest.approx(lam * base.value, abs=1e-8)
         assert scaled.online_strategy == pytest.approx(base.online_strategy, abs=1e-8)
