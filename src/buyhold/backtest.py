@@ -115,7 +115,7 @@ def parse_prices(text: str) -> PriceSeries:
 
     The header must be exactly ``date,close``; dates are ISO-8601 and
     are sorted (with a flag) if they arrive out of order, and closes are
-    in the ``formatting.DECIMAL`` grammar.  Duplicate dates and
+    read by ``formatting.parse_decimal``.  Duplicate dates and
     non-positive prices are rejected.
     """
     reader = csv.reader(io.StringIO(text.lstrip("﻿")))
@@ -141,7 +141,7 @@ def parse_prices(text: str) -> PriceSeries:
             close = parse_decimal(row[1])
         except ValueError:
             raise ParseError(f"bad price {row[1]!r}", row=lineno, column=2) from None
-        if not np.isfinite(close) or close <= 0.0:
+        if close <= 0.0:
             raise NonPositivePrice(f"price {close:g} must be positive", row=lineno, column=2)
         if day in seen:
             raise DuplicateDate(f"duplicate date {day.isoformat()}", row=lineno, column=1)
@@ -213,9 +213,15 @@ def find_violations(rates, alpha: float, beta: float, slack: float = VIOLATION_S
     """
     e = np.asarray(rates, dtype=float).ravel()
     lo, hi = 1.0 / beta, alpha
-    factors = e[1:] / e[:-1]
-    steps = np.flatnonzero((factors < lo * (1.0 - slack)) | (factors > hi * (1.0 + slack)))
-    return tuple(Violation(day=int(i) + 1, factor=float(factors[i]), lo=lo, hi=hi) for i in steps)
+    lo_widened, hi_widened = lo * (1.0 - slack), hi * (1.0 + slack)
+    # One division for all steps; comparing the factors as Python floats
+    # beats further numpy calls on windows of a month.
+    factors = (e[1:] / e[:-1]).tolist()
+    return tuple(
+        Violation(day=day, factor=factor, lo=lo, hi=hi)
+        for day, factor in enumerate(factors, start=1)
+        if factor < lo_widened or factor > hi_widened
+    )
 
 
 def run_plan(

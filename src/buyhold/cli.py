@@ -167,7 +167,7 @@ def cmd_weights(args, parser) -> str:
 
 
 def read_matrix_csv(text: str) -> np.ndarray:
-    """Rows of ``formatting.DECIMAL`` cells as a matrix; solve_game checks the entries."""
+    """Rows of ``formatting.parse_decimal`` cells as a matrix; solve_game checks the entries."""
     rows = []
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row:

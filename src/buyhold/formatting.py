@@ -6,13 +6,9 @@ turns a payload into JSON; both give a float 12 significant digits.
 """
 
 import json
-import re
+import math
 
 import numpy as np
-
-#: An optionally signed ASCII decimal with an optional exponent, padded
-#: by spaces or tabs: every form ``repr`` writes for a finite float.
-DECIMAL = re.compile(r"[ \t]*[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?[ \t]*")
 
 
 def fmt12(value: float) -> str:
@@ -21,15 +17,19 @@ def fmt12(value: float) -> str:
 
 
 def parse_decimal(text: str) -> float:
-    """Read ``text`` as a number in the DECIMAL grammar.
+    """Read ``text`` as a finite decimal number.
 
-    Raises ValueError for anything else, including the forms ``float``
-    alone would take: digit-group underscores, non-ASCII digits or
-    spaces, ``inf`` and ``nan``.
+    The grammar is ``float``'s without what it takes beyond ASCII
+    decimals: an optional sign, digits with an optional point and
+    exponent, and surrounding ASCII whitespace, which covers every form
+    ``repr`` writes for a finite float.  Raises ValueError for anything
+    else, including digit-group underscores, non-ASCII digits or spaces,
+    ``inf``, ``nan`` and a number past the float range.
     """
-    if not DECIMAL.fullmatch(text):
-        raise ValueError(f"not a decimal number: {text!r}")
-    return float(text)
+    value = float(text) if text.isascii() and "_" not in text else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite decimal number: {text!r}")
+    return value
 
 
 def _cell(value) -> str:
