@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from buyhold import ParseError
-from buyhold import cli
+from buyhold import ParseError, cli
 from buyhold.cli import main, read_matrix_csv
 from buyhold.formatting import fmt12
 from buyhold.market import MarketParams, payoff_matrix_K, validate_sequence
