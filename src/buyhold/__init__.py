@@ -4,128 +4,104 @@ The package solves finite zero-sum matrix games (by LP or, for square
 nonsingular payoffs, in closed form), derives the balanced buy-and-hold
 strategy with its exact competitive ratio, and backtests it against
 dollar averaging on daily price series.
+
+Every public name is imported from its module on first use (PEP 562),
+so ``import buyhold`` loads no submodule and no numpy; the names of
+``params`` (the market parameters and the scalar closed forms) never
+need numpy at all.
 """
 
-from .backtest import (
-    BacktestReport,
-    PlanResult,
-    PlanWindow,
-    PriceSeries,
-    Violation,
-    WindowReport,
-    compare_report,
-    find_violations,
-    load_prices,
-    parse_prices,
-    report_csv,
-    report_json,
-    report_svg,
-    run_plan,
-    segment_monthly,
-    series_csv,
-    synthetic_prices,
-)
-from .errors import (
-    BuyholdError,
-    DimensionMismatch,
-    DuplicateDate,
-    LengthMismatch,
-    NonPositiveEntry,
-    NonPositivePrice,
-    NumericalFailure,
-    ParseError,
-    PreconditionViolated,
-    SingularMatrixError,
-)
-from .games import (
-    FEASIBILITY_TOL,
-    OPTIMALITY_TOL,
-    GameSolution,
-    LpSolution,
-    as_payoff_matrix,
-    check_extreme_point,
-    is_mixed_strategy,
-    solve_game,
-    solve_game_closed_form,
-    solve_game_lp,
-    solve_primal_dual,
-    worst_case_columns,
-)
-from .market import (
-    CIRCUIT_BREAKERS,
-    MarketParams,
-    bal_adversary,
-    bal_ratio,
-    bal_weights,
-    da_ratio,
-    da_weights,
-    det_K_closed_form,
-    downturns,
-    evaluate_static,
-    offline_optimum,
-    payoff_matrix_K,
-    preset_bounds,
-    preset_params,
-    static_ratio_via_downturns,
-    validate_sequence,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BacktestReport",
-    "BuyholdError",
-    "CIRCUIT_BREAKERS",
-    "DimensionMismatch",
-    "DuplicateDate",
-    "FEASIBILITY_TOL",
-    "GameSolution",
-    "LengthMismatch",
-    "LpSolution",
-    "MarketParams",
-    "NonPositiveEntry",
-    "NonPositivePrice",
-    "NumericalFailure",
-    "OPTIMALITY_TOL",
-    "ParseError",
-    "PlanResult",
-    "PlanWindow",
-    "PreconditionViolated",
-    "PriceSeries",
-    "SingularMatrixError",
-    "Violation",
-    "WindowReport",
-    "as_payoff_matrix",
-    "bal_adversary",
-    "bal_ratio",
-    "bal_weights",
-    "check_extreme_point",
-    "compare_report",
-    "da_ratio",
-    "da_weights",
-    "det_K_closed_form",
-    "downturns",
-    "evaluate_static",
-    "find_violations",
-    "is_mixed_strategy",
-    "load_prices",
-    "offline_optimum",
-    "parse_prices",
-    "payoff_matrix_K",
-    "preset_bounds",
-    "preset_params",
-    "report_csv",
-    "report_json",
-    "report_svg",
-    "run_plan",
-    "segment_monthly",
-    "series_csv",
-    "solve_game",
-    "solve_game_closed_form",
-    "solve_game_lp",
-    "solve_primal_dual",
-    "static_ratio_via_downturns",
-    "synthetic_prices",
-    "validate_sequence",
-    "worst_case_columns",
-]
+#: Each module and the public names it provides to the package.
+_EXPORTS = {
+    "backtest": (
+        "BacktestReport",
+        "PlanResult",
+        "PlanWindow",
+        "PriceSeries",
+        "Violation",
+        "WindowReport",
+        "compare_report",
+        "find_violations",
+        "load_prices",
+        "parse_prices",
+        "report_csv",
+        "report_json",
+        "report_svg",
+        "run_plan",
+        "segment_monthly",
+        "series_csv",
+        "synthetic_prices",
+    ),
+    "errors": (
+        "BuyholdError",
+        "DimensionMismatch",
+        "DuplicateDate",
+        "LengthMismatch",
+        "NonPositiveEntry",
+        "NonPositivePrice",
+        "NumericalFailure",
+        "ParseError",
+        "PreconditionViolated",
+        "SingularMatrixError",
+    ),
+    "games": (
+        "FEASIBILITY_TOL",
+        "OPTIMALITY_TOL",
+        "GameSolution",
+        "LpSolution",
+        "as_payoff_matrix",
+        "check_extreme_point",
+        "is_mixed_strategy",
+        "solve_game",
+        "solve_game_closed_form",
+        "solve_game_lp",
+        "solve_primal_dual",
+        "worst_case_columns",
+    ),
+    "market": (
+        "bal_adversary",
+        "bal_weights",
+        "da_weights",
+        "det_K_closed_form",
+        "downturns",
+        "evaluate_static",
+        "offline_optimum",
+        "payoff_matrix_K",
+        "static_ratio_via_downturns",
+        "validate_sequence",
+    ),
+    "params": (
+        "CIRCUIT_BREAKERS",
+        "MarketParams",
+        "bal_ratio",
+        "da_ratio",
+        "preset_bounds",
+        "preset_params",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+#: Library modules reachable as ``buyhold.<module>`` without importing them first.
+_SUBMODULES = ("backtest", "errors", "formatting", "games", "linalg", "market", "params", "simplex", "svgchart")
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # Importing sets the attribute, so this runs once per module.
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    # Cached, so later lookups are plain module attribute reads.
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

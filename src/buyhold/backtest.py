@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError
-from .formatting import parse_decimal, render, to_json
+from .formatting import decode_utf8, parse_decimal, render, to_json
 from .market import MarketParams, bal_weights, check_bounds, da_weights
 from .svgchart import line_chart
 
@@ -167,7 +167,7 @@ def load_prices(source) -> PriceSeries:
         with open(os.fspath(source), "rb") as handle:
             data = handle.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = decode_utf8(data)
     return parse_prices(data)
 
 

@@ -12,34 +12,22 @@ import math
 import sys
 from datetime import date
 
-import numpy as np
-
-from .backtest import (
-    compare_report,
-    load_prices,
-    report_csv,
-    report_json,
-    report_rows,
-    report_svg,
-    series_csv,
-    synthetic_prices,
-    VIOLATION_SLACK,
-)
 from .errors import BuyholdError, ParseError
-from .formatting import parse_decimal, render, to_json
-from .games import solve_game
-from .market import (
+from .formatting import decode_utf8, parse_decimal, render, to_json
+from .params import (
     CIRCUIT_BREAKERS,
     MarketParams,
-    bal_adversary,
+    _bal_ratio,
+    _da_ratio,
     bal_ratio,
-    bal_weights,
+    bal_weight_parts,
     check_bounds,
-    da_ratio,
-    downturns,
     preset_bounds,
 )
 from .svgchart import line_chart
+
+# numpy, games and backtest are imported inside the subcommands that use
+# them, so that weights and sweep start without numpy.
 
 #: Largest horizon for ``weights --days`` and ``sweep --to``, whose work is linear in it.
 MAX_DAYS = 10000
@@ -114,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance",
         type=tolerance,
-        default=VIOLATION_SLACK,
         help="relative slack before a daily move counts as a violation",
     )
     p.set_defaults(func=cmd_backtest)
@@ -153,8 +140,9 @@ def resolve_params(args, parser, max_days) -> MarketParams:
 
 def cmd_weights(args, parser) -> str:
     params = resolve_params(args, parser, MAX_DAYS)
-    b = bal_weights(params)
-    c = bal_adversary(params)
+    first, interior, last = bal_weight_parts(params)
+    b = [first, *[interior] * (params.n - 2), last]
+    c = [last, *[interior] * (params.n - 2), first]
     r = bal_ratio(params)
     fields = dict(alpha=params.alpha, beta=params.beta, days=params.n, ratio=r, weights=b, adversary=c)
     if args.format == "json":
@@ -162,11 +150,11 @@ def cmd_weights(args, parser) -> str:
     table = [("day", "weight", "adversary"), *zip(range(1, params.n + 1), b, c)]
     if args.format == "csv":
         return render([*table, ("ratio", r, r)], "csv")
-    preamble = [(key, value) for key, value in fields.items() if np.ndim(value) == 0]
+    preamble = [(key, value) for key, value in fields.items() if not isinstance(value, list)]
     return render(preamble, "text", (6,)) + render(table, "text", (4, 14))
 
 
-def read_matrix_csv(text: str) -> np.ndarray:
+def read_matrix_csv(text: str) -> "np.ndarray":
     """Rows of ``formatting.parse_decimal`` cells as a matrix; solve_game checks the entries."""
     rows = []
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
@@ -182,12 +170,18 @@ def read_matrix_csv(text: str) -> np.ndarray:
             )
     if not rows:
         raise ParseError("no matrix rows", row=1)
+    import numpy as np
+
     return np.array(rows)
 
 
 def cmd_solve(args, parser) -> str:
-    with open(args.matrix, "r", encoding="utf-8") as handle:
-        H = read_matrix_csv(handle.read())
+    import numpy as np
+
+    from .games import solve_game
+
+    with open(args.matrix, "rb") as handle:
+        H = read_matrix_csv(decode_utf8(handle.read()))
     solution, route = solve_game(H)
     fields = {
         "value": solution.value,
@@ -211,10 +205,8 @@ def cmd_sweep(args, parser) -> str:
     if args.n_to > MAX_DAYS:
         parser.error(f"--to is capped at {MAX_DAYS}")
     ns = range(args.n_from, args.n_to + 1)
-    rows = []
-    for n in ns:
-        params = MarketParams(alpha=alpha, beta=beta, n=n)
-        rows.append((n, bal_ratio(params), da_ratio(params)))
+    # resolve_bounds checked the bounds, so no MarketParams is built per horizon.
+    rows = [(n, _bal_ratio(alpha, beta, n), _da_ratio(alpha, beta, n)) for n in ns]
     if args.format == "json":
         table = [{"n": n, "bal": rb, "da": rd} for n, rb, rd in rows]
         return to_json({"alpha": alpha, "beta": beta, "rows": table})
@@ -226,6 +218,8 @@ def cmd_sweep(args, parser) -> str:
 
 
 def cmd_downturns(args, parser) -> str:
+    from .market import downturns
+
     params = resolve_params(args, parser, MAX_DOWNTURN_DAYS)
     seqs = downturns(params)
     if args.format == "json":
@@ -235,9 +229,20 @@ def cmd_downturns(args, parser) -> str:
 
 
 def cmd_backtest(args, parser) -> str:
+    from .backtest import (
+        VIOLATION_SLACK,
+        compare_report,
+        load_prices,
+        report_csv,
+        report_json,
+        report_rows,
+        report_svg,
+    )
+
     alpha, beta = resolve_bounds(args, parser)
     series = load_prices(args.prices)
-    report = compare_report(series, alpha, beta, slack=args.tolerance)
+    slack = VIOLATION_SLACK if args.tolerance is None else args.tolerance
+    report = compare_report(series, alpha, beta, slack=slack)
     renderers = {"json": report_json, "csv": report_csv, "svg": report_svg}
     if args.format in renderers:
         return renderers[args.format](report)
@@ -247,6 +252,8 @@ def cmd_backtest(args, parser) -> str:
 
 
 def cmd_synth(args, parser) -> str:
+    from .backtest import series_csv, synthetic_prices
+
     alpha, beta = resolve_bounds(args, parser)
     if not 1 <= args.months <= MAX_MONTHS:
         parser.error(f"--months must be between 1 and {MAX_MONTHS}")

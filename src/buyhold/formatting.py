@@ -2,13 +2,15 @@
 
 ``render`` turns rows of cells into CSV or aligned text, ``to_json``
 turns a payload into JSON; both give a float 12 significant digits.
-``parse_decimal`` is the one grammar for the numbers the package reads.
+``parse_decimal`` is the one grammar for the numbers the package reads,
+``decode_utf8`` the one decoding of the files it reads.  No numpy is
+imported here: arrays are recognised by their ``tolist`` method.
 """
 
 import json
 import math
 
-import numpy as np
+from .errors import ParseError
 
 
 def fmt12(value: float) -> str:
@@ -30,6 +32,19 @@ def parse_decimal(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"not a finite decimal number: {text!r}")
     return value
+
+
+def decode_utf8(data: bytes) -> str:
+    """``data`` decoded as UTF-8.
+
+    Raises ParseError, with the line of the first bad byte as its row,
+    if ``data`` is not UTF-8.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", row=row) from None
 
 
 def _cell(value) -> str:
@@ -67,7 +82,7 @@ def _rounded(value):
         return {key: _rounded(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_rounded(item) for item in value]
-    if isinstance(value, np.ndarray):
+    if hasattr(value, "tolist"):
         return _rounded(value.tolist())
     return value
 
@@ -75,7 +90,7 @@ def _rounded(value):
 def to_json(payload) -> str:
     """Indented JSON of ``payload``, every float rounded to 12 significant digits.
 
-    Floats inside dicts, lists, tuples and numpy arrays are rounded;
-    ints, bools and strings pass through.
+    Floats inside dicts, lists, tuples and numpy arrays or scalars are
+    rounded; ints, bools and strings pass through.
     """
     return json.dumps(_rounded(payload), indent=2) + "\n"

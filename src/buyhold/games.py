@@ -16,6 +16,7 @@ nonsingular ``H`` that additionally certifies uniqueness when both
 scaled solutions are strictly positive.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,17 @@ def as_payoff_matrix(matrix) -> np.ndarray:
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise NonPositiveEntry(f"payoff entry ({i}, {j}) = {a[i, j]:g} is not positive")
     return a
+
+
+def _unit_scaled(H) -> tuple[np.ndarray, int]:
+    """``(H * 2**-k, k)`` with ``k`` chosen so the largest magnitude lies in [0.5, 1).
+
+    Scaling by a power of two is exact, and the game's strategies do not
+    change while its value scales by ``2**-k``, so the tolerances of
+    either route act on the same numbers whatever the scale of ``H``.
+    """
+    k = math.frexp(float(np.abs(H).max()))[1]
+    return np.ldexp(H, -k), k
 
 
 def is_mixed_strategy(weights, tol: float = 1e-12) -> bool:
@@ -101,8 +113,12 @@ def solve_primal_dual(H) -> LpSolution:
     exceeds OPTIMALITY_TOL times ``sum(x)``: then ``x`` and ``y`` are
     not both optimal.  The gap is relative because ``sum(x)`` is the
     reciprocal of the game value, so it scales with ``1/H``.
+
+    The tableau holds ``H`` scaled by the power of two that brings its
+    largest entry into [0.5, 1), and the solutions are scaled back
+    exactly, so no tolerance depends on the magnitude of ``H``.
     """
-    H = as_payoff_matrix(H)
+    H, k = _unit_scaled(as_payoff_matrix(H))
     x, y, dual = solve_packing(H)
     residual = max(float(np.max(1.0 - x @ H)), float(np.max(H @ y - 1.0)))
     if residual > OPTIMALITY_TOL:
@@ -111,7 +127,12 @@ def solve_primal_dual(H) -> LpSolution:
     gap = abs(primal - float(y.sum()))
     if gap > OPTIMALITY_TOL * primal:
         raise NumericalFailure(f"LP solution has a duality gap of {gap:.3e} on {primal:.6g}")
-    return LpSolution(x=x, y=y, primal_objective=primal, dual_objective=dual)
+    return LpSolution(
+        x=np.ldexp(x, -k),
+        y=np.ldexp(y, -k),
+        primal_objective=math.ldexp(primal, -k),
+        dual_objective=math.ldexp(dual, -k),
+    )
 
 
 def solve_game_lp(H) -> GameSolution:
@@ -149,6 +170,11 @@ def solve_game_closed_form(H) -> GameSolution:
     Unlike the LP route, the algebra here never divides by payoff
     entries, so matrices with zero entries (e.g. the identity) are
     accepted as long as the candidates come out nonnegative.
+
+    The inverse is taken of ``H`` scaled by the power of two that brings
+    its largest magnitude into [0.5, 1), and the ratio and value are
+    scaled back exactly, so ``PIVOT_TOL`` does not depend on the
+    magnitude of ``H``.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     m, n = H.shape
@@ -156,6 +182,7 @@ def solve_game_closed_form(H) -> GameSolution:
         raise NonPositiveEntry("payoff entries must be finite")
     if m != n:
         raise PreconditionViolated(f"closed form needs a square matrix, got {m}x{n}")
+    H, k = _unit_scaled(H)
     x, y = inverse_sums(H)
     if x.min() < -PIVOT_TOL or y.min() < -PIVOT_TOL:
         raise PreconditionViolated(
@@ -168,8 +195,8 @@ def solve_game_closed_form(H) -> GameSolution:
     if ratio <= 0.0:
         raise PreconditionViolated("candidate solution sums to zero")
     return GameSolution(
-        value=1.0 / ratio,
-        ratio=ratio,
+        value=math.ldexp(1.0 / ratio, k),
+        ratio=math.ldexp(ratio, -k),
         online_strategy=x / ratio,
         adversary_strategy=y / float(y.sum()),
         unique=unique,
@@ -220,11 +247,13 @@ def check_extreme_point(H, x, y, rows, cols) -> bool:
 
     Feasibility of x and y for the primal/dual pair is the caller's
     responsibility; only the certificate conditions are checked here.
+    The checks run on ``H`` scaled as in the two solution routes, with
+    x and y scaled inversely, so no tolerance depends on its magnitude.
     """
-    H = as_payoff_matrix(H)
+    H, k = _unit_scaled(as_payoff_matrix(H))
     m, n = H.shape
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x = np.ldexp(np.asarray(x, dtype=float).ravel(), k)
+    y = np.ldexp(np.asarray(y, dtype=float).ravel(), k)
     if x.shape[0] != m or y.shape[0] != n:
         raise DimensionMismatch("x/y lengths must match the matrix dimensions")
     rows = sorted({int(i) for i in rows})
@@ -241,10 +270,9 @@ def check_extreme_point(H, x, y, rows, cols) -> bool:
     off_rows = np.setdiff1d(np.arange(m), rows)
     off_cols = np.setdiff1d(np.arange(n), cols)
     off_support = np.concatenate((x[off_rows], y[off_cols]))
-    if np.any(np.abs(off_support) > FEASIBILITY_TOL):
-        return False
-    if np.max(np.abs(x[rows] @ sub - 1.0)) > FEASIBILITY_TOL:
-        return False
-    if np.max(np.abs(sub @ y[cols] - 1.0)) > FEASIBILITY_TOL:
-        return False
-    return True
+    # Each test asks "all within", so a NaN anywhere fails the certificate.
+    return bool(
+        np.all(np.abs(off_support) <= FEASIBILITY_TOL)
+        and np.all(np.abs(x[rows] @ sub - 1.0) <= FEASIBILITY_TOL)
+        and np.all(np.abs(sub @ y[cols] - 1.0) <= FEASIBILITY_TOL)
+    )

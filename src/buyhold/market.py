@@ -18,70 +18,25 @@ competitive ratio ``bal_ratio`` has a closed form, as does the ratio
 of the uniform dollar-averaging allocation ``da_ratio``.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LengthMismatch, PreconditionViolated
+# The scalar names live in params, which imports no numpy; they are
+# re-exported here with the array-valued ones built on them.
+from .params import (
+    CIRCUIT_BREAKERS,
+    MarketParams,
+    bal_ratio,
+    bal_weight_parts,
+    check_bounds,
+    check_horizon,
+    da_ratio,
+    preset_bounds,
+    preset_params,
+)
 
 #: Relative slack allowed on each daily step when validating sequences.
 ADMISSIBILITY_TOL = 1e-12
-
-#: Exchange circuit-breaker limits as (daily floor, daily cap) on the
-#: price ratio; the rate up-factor bound is the reciprocal of the floor.
-CIRCUIT_BREAKERS = {
-    "amsterdam": (0.90, 1.10),
-    "bangkok": (0.90, 1.10),
-    "paris": (0.95, 1.10),
-    "taipei": (0.93, 1.07),
-    "tel-aviv": (0.95, 1.10),
-    "tokyo": (0.95, 1.30),
-    "vienna": (0.95, 1.05),
-}
-
-
-def check_bounds(alpha, beta) -> None:
-    """Raise ValueError unless ``alpha`` and ``beta`` are finite numbers > 1."""
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not (value > 1.0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite number > 1, got {value}")
-
-
-@dataclass(frozen=True)
-class MarketParams:
-    """Daily return bounds and horizon length.
-
-    ``alpha`` bounds the daily up-factor of the exchange rate, ``1/beta``
-    the down-factor; both must exceed 1.  Horizons shorter than two days
-    are rejected: with a single day every strategy is forced.
-    """
-
-    alpha: float
-    beta: float
-    n: int
-
-    def __post_init__(self):
-        check_bounds(self.alpha, self.beta)
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"horizon n must be an integer >= 2, got {self.n}")
-
-
-def preset_bounds(name: str) -> tuple[float, float]:
-    """Return (alpha, beta) for a named circuit-breaker preset."""
-    try:
-        floor, cap = CIRCUIT_BREAKERS[name]
-    except KeyError:
-        known = ", ".join(sorted(CIRCUIT_BREAKERS))
-        raise KeyError(f"unknown preset {name!r}; choose one of: {known}") from None
-    return 1.0 / floor, cap
-
-
-def preset_params(name: str, n: int) -> MarketParams:
-    """MarketParams for a named preset and horizon ``n``."""
-    alpha, beta = preset_bounds(name)
-    return MarketParams(alpha=alpha, beta=beta, n=n)
-
 
 def validate_sequence(params: MarketParams, rates, rel_tol: float = ADMISSIBILITY_TOL) -> bool:
     """True iff every daily step of ``rates`` respects the bounds.
@@ -171,17 +126,14 @@ def det_K_closed_form(params: MarketParams) -> float:
 def bal_weights(params: MarketParams) -> np.ndarray:
     """Daily capital fractions of the balanced strategy.
 
-    First day ``alpha*(beta-1)/D``, last day ``(alpha-1)*beta/D``,
-    interior days ``(alpha-1)*(beta-1)/D`` with the normalizer
-    ``D = n*alpha*beta - (n-1)*(alpha+beta) + (n-2)``.  All components
-    are strictly positive and sum to 1.
+    The ``(first, interior, last)`` values of ``bal_weight_parts`` laid
+    out over the ``n`` days.  All components are strictly positive and
+    sum to 1.
     """
-    da, db = params.alpha - 1.0, params.beta - 1.0
-    # D in a cancellation-free form: (alpha-1) + (beta-1) + n*(alpha-1)*(beta-1).
-    denom = da + db + params.n * da * db
-    w = np.full(params.n, da * db / denom)
-    w[0] = (db + da * db) / denom
-    w[-1] = (da + da * db) / denom
+    first, interior, last = bal_weight_parts(params)
+    w = np.full(params.n, interior)
+    w[0] = first
+    w[-1] = last
     return w
 
 
@@ -195,37 +147,10 @@ def bal_adversary(params: MarketParams) -> np.ndarray:
     return c
 
 
-def bal_ratio(params: MarketParams) -> float:
-    """Competitive ratio of the balanced strategy.
-
-    Equals ``(n*alpha*beta - (n-1)*(alpha+beta) + (n-2))/(alpha*beta - 1)``,
-    the smallest ratio any static strategy can achieve.
-    """
-    da, db = params.alpha - 1.0, params.beta - 1.0
-    return (da + db + params.n * da * db) / (da + db + da * db)
-
-
 def da_weights(n: int) -> np.ndarray:
     """Dollar averaging: the uniform allocation 1/n per day."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"horizon n must be an integer >= 2, got {n}")
+    check_horizon(n)
     return np.full(n, 1.0 / n)
-
-
-def da_ratio(params: MarketParams) -> float:
-    """Competitive ratio of dollar averaging.
-
-    ``max(n*(1-1/alpha)/(1-alpha**-n), n*(1-1/beta)/(1-beta**-n))``;
-    the two terms are the worst cases on the all-rise and all-fall
-    downturns, the only candidates by concavity of the column sums.
-    """
-    n = params.n
-
-    def term(g: float) -> float:
-        # n*(1 - 1/g)/(1 - g**-n), stable for g near 1.
-        return n * ((g - 1.0) / g) / -math.expm1(-n * math.log1p(g - 1.0))
-
-    return max(term(params.alpha), term(params.beta))
 
 
 def static_ratio_via_downturns(weights, params: MarketParams) -> float:

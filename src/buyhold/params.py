@@ -1,0 +1,125 @@
+"""Market parameters and the closed forms that need nothing else.
+
+The return bounds, the horizon, the circuit-breaker presets, the three
+distinct balanced weights and the exact competitive ratios of the
+balanced strategy and of dollar averaging are scalar formulas.  This
+module holds them without importing numpy, so the ``weights`` and
+``sweep`` subcommands start without it; ``market`` re-exports every
+name and builds the array-valued quantities on top.
+"""
+
+import math
+import operator
+from dataclasses import dataclass
+
+#: Exchange circuit-breaker limits as (daily floor, daily cap) on the
+#: price ratio; the rate up-factor bound is the reciprocal of the floor.
+CIRCUIT_BREAKERS = {
+    "amsterdam": (0.90, 1.10),
+    "bangkok": (0.90, 1.10),
+    "paris": (0.95, 1.10),
+    "taipei": (0.93, 1.07),
+    "tel-aviv": (0.95, 1.10),
+    "tokyo": (0.95, 1.30),
+    "vienna": (0.95, 1.05),
+}
+
+
+def check_bounds(alpha, beta) -> None:
+    """Raise ValueError unless ``alpha`` and ``beta`` are finite numbers > 1."""
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (value > 1.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number > 1, got {value}")
+
+
+def check_horizon(n) -> None:
+    """Raise ValueError unless ``n`` is an integer (to ``operator.index``) >= 2."""
+    try:
+        valid = operator.index(n) >= 2
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"horizon n must be an integer >= 2, got {n}")
+
+
+@dataclass(frozen=True)
+class MarketParams:
+    """Daily return bounds and horizon length.
+
+    ``alpha`` bounds the daily up-factor of the exchange rate, ``1/beta``
+    the down-factor; both must exceed 1.  Horizons shorter than two days
+    are rejected: with a single day every strategy is forced.
+    """
+
+    alpha: float
+    beta: float
+    n: int
+
+    def __post_init__(self):
+        check_bounds(self.alpha, self.beta)
+        check_horizon(self.n)
+
+
+def preset_bounds(name: str) -> tuple[float, float]:
+    """Return (alpha, beta) for a named circuit-breaker preset."""
+    try:
+        floor, cap = CIRCUIT_BREAKERS[name]
+    except KeyError:
+        known = ", ".join(sorted(CIRCUIT_BREAKERS))
+        raise KeyError(f"unknown preset {name!r}; choose one of: {known}") from None
+    return 1.0 / floor, cap
+
+
+def preset_params(name: str, n: int) -> MarketParams:
+    """MarketParams for a named preset and horizon ``n``."""
+    alpha, beta = preset_bounds(name)
+    return MarketParams(alpha=alpha, beta=beta, n=n)
+
+
+def bal_weight_parts(params: MarketParams) -> tuple[float, float, float]:
+    """The balanced strategy's ``(first, interior, last)`` daily fractions.
+
+    First day ``alpha*(beta-1)/D``, last day ``(alpha-1)*beta/D``, each
+    of the ``n - 2`` interior days ``(alpha-1)*(beta-1)/D``, with the
+    normalizer ``D = n*alpha*beta - (n-1)*(alpha+beta) + (n-2)``.
+    """
+    da, db = params.alpha - 1.0, params.beta - 1.0
+    # D in a cancellation-free form: (alpha-1) + (beta-1) + n*(alpha-1)*(beta-1).
+    denom = da + db + params.n * da * db
+    return (db + da * db) / denom, da * db / denom, (da + da * db) / denom
+
+
+def bal_ratio(params: MarketParams) -> float:
+    """Competitive ratio of the balanced strategy.
+
+    Equals ``(n*alpha*beta - (n-1)*(alpha+beta) + (n-2))/(alpha*beta - 1)``,
+    the smallest ratio any static strategy can achieve.
+    """
+    return _bal_ratio(params.alpha, params.beta, params.n)
+
+
+def da_ratio(params: MarketParams) -> float:
+    """Competitive ratio of dollar averaging.
+
+    ``max(n*(1-1/alpha)/(1-alpha**-n), n*(1-1/beta)/(1-beta**-n))``;
+    the two terms are the worst cases on the all-rise and all-fall
+    downturns, the only candidates by concavity of the column sums.
+    """
+    return _da_ratio(params.alpha, params.beta, params.n)
+
+
+# The two ratios on bare, already validated bounds, for callers that
+# sweep the horizon and would otherwise build a MarketParams per value.
+
+
+def _bal_ratio(alpha: float, beta: float, n: int) -> float:
+    da, db = alpha - 1.0, beta - 1.0
+    return (da + db + n * da * db) / (da + db + da * db)
+
+
+def _da_ratio(alpha: float, beta: float, n: int) -> float:
+    def term(g: float) -> float:
+        # n*(1 - 1/g)/(1 - g**-n), stable for g near 1.
+        return n * ((g - 1.0) / g) / -math.expm1(-n * math.log1p(g - 1.0))
+
+    return max(term(alpha), term(beta))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from buyhold import ParseError, cli
+from buyhold import ParseError, backtest, cli, market
 from buyhold.cli import main, read_matrix_csv
 from buyhold.formatting import fmt12
 from buyhold.market import MarketParams, payoff_matrix_K, validate_sequence
@@ -109,6 +113,12 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(tmp_path / "missing.csv"))
         assert code == 1
 
+    def test_undecodable_bytes_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\xff\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (1, "") and err.startswith("error: not UTF-8 text") and "row 1" in err
+
     def test_matrix_cell_grammar(self):
         with pytest.raises(ParseError):
             read_matrix_csv("1_0,2\n\u0663,4\n")
@@ -135,6 +145,14 @@ class TestSolve:
         path.write_text("1,2\n2,1\n3,0.5\n")
         code, out, _ = run_cli(capsys, "solve", str(path))
         assert code == 0 and out.startswith(f"value      {fmt12(11 / 7)}\n")
+
+    def test_large_payoffs_solve(self, tmp_path, capsys):
+        # The game above scaled by 1e9: the value scales with it.
+        path = tmp_path / "m.csv"
+        path.write_text("1e9,2e9\n2e9,1e9\n3e9,0.5e9\n")
+        code, out, _ = run_cli(capsys, "solve", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(11 / 7 * 1e9, rel=1e-12)
 
 
 class TestSweep:
@@ -291,6 +309,12 @@ class TestBacktest:
         assert code == 1
         assert "row 2" in err
 
+    def test_undecodable_bytes_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"date,close\n1997-01-02,10\n1997-01-03,\xff\n")
+        code, out, err = run_cli(capsys, "backtest", str(path), "--preset", "taipei")
+        assert (code, out) == (1, "") and err.startswith("error: not UTF-8 text") and "row 3" in err
+
     def test_svg(self, prices, capsys):
         code, out, _ = run_cli(
             capsys, "backtest", str(prices), "--preset", "taipei", "--format", "svg"
@@ -335,8 +359,18 @@ class TestSizeCaps:
         def refuse(*args, **kwargs):
             raise AssertionError("work started past a size cap")
 
-        for name in ("bal_weights", "bal_ratio", "downturns", "synthetic_prices"):
-            monkeypatch.setattr(cli, name, refuse)
+        # Each name where the subcommand looks it up: cli binds the numpy-free
+        # closed forms at import, and imports downturns and synthetic_prices
+        # from their modules when the subcommand runs.
+        for module, name in (
+            (cli, "bal_weight_parts"),
+            (cli, "bal_ratio"),
+            (cli, "_bal_ratio"),
+            (cli, "_da_ratio"),
+            (market, "downturns"),
+            (backtest, "synthetic_prices"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.usefixtures("forbid_work")
     @pytest.mark.parametrize(
@@ -356,6 +390,26 @@ class TestSizeCaps:
     def test_weights_at_cap(self, capsys):
         code, out, _ = run_cli(capsys, "weights", "--preset", "taipei", "--days", "10000", "--format", "csv")
         assert code == 0 and len(out.splitlines()) == 10002
+
+
+def test_weights_and_sweep_do_not_import_numpy():
+    formats = {"weights": ("text", "json", "csv"), "sweep": ("text", "json", "csv", "svg")}
+    rest = {
+        "weights": ["--preset", "taipei", "--days", "21"],
+        "sweep": ["--alpha", "1.1", "--beta", "1.2", "--from", "2", "--to", "30"],
+    }
+    calls = [[sub, *rest[sub], "--format", fmt] for sub in formats for fmt in formats[sub]]
+    script = (
+        "import sys\n"
+        "from buyhold import cli\n"
+        f"for argv in {calls!r}:\n"
+        "    assert cli.main(argv) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("</svg>") == 1
 
 
 def test_unknown_command_is_usage_error():

@@ -130,6 +130,25 @@ def test_check_extreme_point():
         check_extreme_point(K2, x, x, [0, 5], [0, 1])
 
 
+def test_check_extreme_point_rejects_nan():
+    nan = float("nan")
+    assert not check_extreme_point(SYM2, [nan, nan], [nan, nan], [0, 1], [0, 1])
+    # NaN off the support, where the certificate wants zeros.
+    assert not check_extreme_point(SYM2, [1.0, nan], [1.0, 0.0], [0], [0])
+
+
+@pytest.mark.parametrize("lam", [1e-13, 1e13])
+def test_check_extreme_point_scale_free(lam):
+    # The certificate of SYM2 (x = y = (2/3, 2/3)) holds for lam * SYM2 with x/lam, y/lam.
+    x = np.array([2.0 / 3.0, 2.0 / 3.0]) / lam
+    assert check_extreme_point(lam * SYM2, x, x, [0, 1], [0, 1])
+    # On the support {0} x {0}, x = y = (1/lam, 0) is a certificate, and an
+    # off-support component of 1e-3 of the support's value is not zero.
+    one = np.array([1.0, 0.0]) / lam
+    assert check_extreme_point(lam * SYM2, one, one, [0], [0])
+    assert not check_extreme_point(lam * SYM2, one + [0.0, 1e-3 / lam], one, [0], [0])
+
+
 def test_check_extreme_point_singular_submatrix():
     H = np.array([[1.0, 1.0], [1.0, 1.0]]) + np.diag([0.0, 0.0])
     assert not check_extreme_point(H, [0.5, 0.5], [0.5, 0.5], [0, 1], [0, 1])
@@ -169,9 +188,11 @@ def test_duality_feasibility_and_saddle(H):
 
 def test_duality_gap_raises(monkeypatch):
     # x = (1, 1) and y = (1/3, 1/3) are feasible for [[1, 2], [2, 1]],
-    # but only y is optimal: sum(x) = 2 against sum(y) = 2/3.
+    # but only y is optimal: sum(x) = 2 against sum(y) = 2/3.  The
+    # tableau gets the matrix scaled by c, so the fake scales by 1/c.
     def feasible_with_gap(H):
-        return np.array([1.0, 1.0]), np.array([1.0, 1.0]) / 3.0, 2.0 / 3.0
+        c = H[0, 0]
+        return np.array([1.0, 1.0]) / c, np.array([1.0, 1.0]) / (3.0 * c), 2.0 / (3.0 * c)
 
     monkeypatch.setattr(games, "solve_packing", feasible_with_gap)
     with pytest.raises(NumericalFailure, match="duality gap"):
@@ -183,12 +204,29 @@ def test_scale_covariance():
     H = rng.uniform(0.5, 3.0, size=(5, 7))
     base = solve_game_lp(H)
     # At 3e-8 the ratio is about 2e7 and its rounding gap is 1.5e-8, so
-    # the duality gap must be checked relative to the ratio.
-    for lam in (0.25, 3.0, 3e-8):
+    # the duality gap must be checked relative to the ratio.  The last
+    # scale puts the largest entry near 1e300.
+    for lam in (0.25, 3.0, 3e-8, 2.0**40, 2.0**-40, 1e9, 1e-9, 0.99e300 / H.max()):
         scaled = solve_game_lp(lam * H)
-        assert scaled.value == pytest.approx(lam * base.value, abs=1e-8)
+        assert scaled.value == pytest.approx(lam * base.value, rel=1e-12)
         assert scaled.online_strategy == pytest.approx(base.online_strategy, abs=1e-8)
         assert scaled.adversary_strategy == pytest.approx(base.adversary_strategy, abs=1e-8)
+        if np.log2(lam).is_integer():
+            # A power-of-two scale is exact, and so is the solution.
+            assert scaled.value == lam * base.value and scaled.ratio == base.ratio / lam
+            assert np.array_equal(scaled.online_strategy, base.online_strategy)
+            assert np.array_equal(scaled.adversary_strategy, base.adversary_strategy)
+
+
+@pytest.mark.parametrize("lam", [2.0**40, 2.0**-40])
+def test_closed_form_scale_covariance(lam):
+    K = payoff_matrix_K(MarketParams(1 / 0.93, 1.07, 21))
+    base, route = solve_game(K)
+    scaled, scaled_route = solve_game(lam * K)
+    assert route == scaled_route == "closed-form" and scaled.unique
+    assert scaled.value == pytest.approx(lam * base.value, rel=1e-12)
+    assert scaled.online_strategy == pytest.approx(base.online_strategy, abs=1e-12)
+    assert scaled.adversary_strategy == pytest.approx(base.adversary_strategy, abs=1e-12)
 
 
 def test_closed_form_agrees_with_lp_when_applicable():

@@ -54,6 +54,12 @@ class TestMarketParams:
         with pytest.raises(ValueError):
             MarketParams(2.0, 2.0, 2.5)
 
+    def test_horizon_takes_any_integer_type(self):
+        assert MarketParams(2.0, 2.0, np.int64(3)).n == 3
+        for bad in (True, "3", 3.0, None):
+            with pytest.raises(ValueError):
+                MarketParams(2.0, 2.0, bad)
+
     def test_presets_match_published_limits(self):
         expected = {
             "amsterdam": (0.90, 1.10),
