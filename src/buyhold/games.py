@@ -64,6 +64,18 @@ def _unit_scaled(H) -> tuple[np.ndarray, int]:
     return np.ldexp(H, -k), k
 
 
+def _ratio_scaled_back(ratio: float, k: int) -> float:
+    """``ratio * 2**-k``; NumericalFailure when it leaves the float range.
+
+    The ratio is the reciprocal of the game value, so this happens when
+    the value is below ``1/sys.float_info.max``, about 5.6e-309.
+    """
+    try:
+        return math.ldexp(ratio, -k)
+    except OverflowError:
+        raise NumericalFailure("the game value is too small for its ratio to be a float") from None
+
+
 def is_mixed_strategy(weights, tol: float = 1e-12) -> bool:
     """True iff ``weights`` is a probability vector (within ``tol`` on the sum)."""
     w = np.asarray(weights, dtype=float).ravel()
@@ -127,11 +139,14 @@ def solve_primal_dual(H) -> LpSolution:
     gap = abs(primal - float(y.sum()))
     if gap > OPTIMALITY_TOL * primal:
         raise NumericalFailure(f"LP solution has a duality gap of {gap:.3e} on {primal:.6g}")
+    # Both objectives bound the components, so once they fit every x_i and y_i does.
+    primal_objective = _ratio_scaled_back(primal, k)
+    dual_objective = _ratio_scaled_back(dual, k)
     return LpSolution(
         x=np.ldexp(x, -k),
         y=np.ldexp(y, -k),
-        primal_objective=math.ldexp(primal, -k),
-        dual_objective=math.ldexp(dual, -k),
+        primal_objective=primal_objective,
+        dual_objective=dual_objective,
     )
 
 
@@ -196,7 +211,7 @@ def solve_game_closed_form(H) -> GameSolution:
         raise PreconditionViolated("candidate solution sums to zero")
     return GameSolution(
         value=math.ldexp(1.0 / ratio, k),
-        ratio=math.ldexp(ratio, -k),
+        ratio=_ratio_scaled_back(ratio, k),
         online_strategy=x / ratio,
         adversary_strategy=y / float(y.sum()),
         unique=unique,

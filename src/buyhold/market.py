@@ -18,7 +18,11 @@ competitive ratio ``bal_ratio`` has a closed form, as does the ratio
 of the uniform dollar-averaging allocation ``da_ratio``.
 """
 
+import math
+from itertools import accumulate
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import LengthMismatch, PreconditionViolated
 # The scalar names live in params, which imports no numpy; they are
@@ -107,11 +111,39 @@ def payoff_matrix_K(params: MarketParams) -> np.ndarray:
     ratio of the day-``i`` trade-once accumulation to the best possible
     accumulation on downturn ``j``.  All entries lie in (0, 1] with a
     unit diagonal.
+
+    ``K`` is Toeplitz: an entry depends only on the gap ``i - j``.  The
+    ``2n - 1`` distinct entries are computed once, for the gaps
+    ``n-1, ..., -(n-1)``, and row ``i`` is the window of ``n`` of them
+    that starts at gap ``i``.  Raises PreconditionViolated when a corner
+    entry, ``alpha**-(n-1)`` or ``beta**-(n-1)``, would round to 0; the
+    message names the largest horizon whose entries stay positive.
     """
-    day = np.arange(params.n)
-    gap = day[:, None] - day[None, :]
+    n = params.n
+    gap = np.arange(n - 1, -n, -1)
     # One power with exponent -|i - j|, so no entry can overflow.
-    return np.where(gap <= 0, float(params.alpha), float(params.beta)) ** -np.abs(gap)
+    diagonals = np.where(gap <= 0, float(params.alpha), float(params.beta)) ** -np.abs(gap)
+    # The corners are the smallest entries, each the bound to the largest exponent.
+    if not (diagonals[0] > 0.0 and diagonals[-1] > 0.0):
+        base = max(float(params.alpha), float(params.beta))
+        raise PreconditionViolated(
+            f"payoff entries round to 0 for {params}; the largest horizon whose "
+            f"entries stay positive is n = {_last_positive_power(base) + 1}"
+        )
+    # Entry (i, j) is diagonals[n-1-i+j], inside the 2n-1 entries for every i, j < n.
+    step = diagonals.strides[0]
+    return as_strided(diagonals[n - 1 :], shape=(n, n), strides=(-step, step)).copy()
+
+
+def _last_positive_power(base: float) -> int:
+    """The largest ``m`` with ``base**-m > 0`` in float64, for ``base > 1``."""
+    # The smallest subnormal is 2**-1074, so m lies within a step or two of this.
+    m = max(1, int(1075 / math.log2(base)))
+    while np.float64(base) ** -(m + 1) > 0.0:
+        m += 1
+    while np.float64(base) ** -m == 0.0:
+        m -= 1
+    return m
 
 
 def det_K_closed_form(params: MarketParams) -> float:
@@ -161,11 +193,28 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
     each downturn and the ratio is ``1 / min(a @ K)``.  The downturns
     dominate every admissible sequence for static strategies, so this
     is the strategy's true competitive ratio.
+
+    ``K`` is never built.  Its triangles have rank one, so ``a @ K`` is
+    ``L_j + R_j`` with ``L_j = L_{j-1}/alpha + a_j`` (the days up to
+    ``j``) and ``R_j = (R_{j+1} + a_{j+1})/beta`` (the days after it).
+    Both take O(n) time and memory at any horizon, including those where
+    ``payoff_matrix_K`` would underflow: their terms decay to 0 without
+    affecting the larger ones.
     """
     a = np.asarray(weights, dtype=float).ravel()
     if a.shape[0] != params.n:
         raise LengthMismatch(f"{a.shape[0]} weights for an n = {params.n} horizon")
-    worst = float((a @ payoff_matrix_K(params)).min())
+    worst = float(_times_kernel(a, float(params.alpha), float(params.beta)).min())
     if worst <= 0.0:
         raise ZeroDivisionError("strategy accumulates nothing on a downturn")
     return 1.0 / worst
+
+
+def _times_kernel(a: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """``a @ K`` for the downturn kernel, from its two geometric recurrences."""
+    values = a.tolist()
+    left = list(accumulate(values, lambda s, x: s / alpha + x))
+    # ahead[j] = a_j + ahead[j+1]/beta, so R_j = ahead[j+1]/beta and R_{n-1} = 0.
+    ahead = list(accumulate(reversed(values), lambda s, x: s / beta + x))[::-1]
+    right = np.append(np.divide(ahead[1:], beta), 0.0)
+    return np.add(left, right)

@@ -86,7 +86,12 @@ def bal_weight_parts(params: MarketParams) -> tuple[float, float, float]:
     da, db = params.alpha - 1.0, params.beta - 1.0
     # D in a cancellation-free form: (alpha-1) + (beta-1) + n*(alpha-1)*(beta-1).
     denom = da + db + params.n * da * db
-    return (db + da * db) / denom, da * db / denom, (da + da * db) / denom
+    if math.isfinite(denom):
+        return (db + da * db) / denom, da * db / denom, (da + da * db) / denom
+    # D overflows for huge bounds: divide every term by (alpha-1)*(beta-1).
+    ia, ib = 1.0 / da, 1.0 / db
+    scaled = params.n + ia + ib
+    return (1.0 + ia) / scaled, 1.0 / scaled, (1.0 + ib) / scaled
 
 
 def bal_ratio(params: MarketParams) -> float:
@@ -114,7 +119,12 @@ def da_ratio(params: MarketParams) -> float:
 
 def _bal_ratio(alpha: float, beta: float, n: int) -> float:
     da, db = alpha - 1.0, beta - 1.0
-    return (da + db + n * da * db) / (da + db + da * db)
+    numer = da + db + n * da * db
+    if math.isfinite(numer):
+        return numer / (da + db + da * db)
+    # As in bal_weight_parts: both terms divided by (alpha-1)*(beta-1).
+    ia, ib = 1.0 / da, 1.0 / db
+    return (n + ia + ib) / (1.0 + ia + ib)
 
 
 def _da_ratio(alpha: float, beta: float, n: int) -> float:

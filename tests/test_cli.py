@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buyhold import ParseError, backtest, cli, market
 from buyhold.cli import main, read_matrix_csv
@@ -60,6 +64,17 @@ class TestWeights:
         usage_error("weights", "--alpha", "0.9", "--beta", "2", "--days", "3")
         usage_error("weights", "--alpha", "inf", "--beta", "2", "--days", "3")
         usage_error("weights", "--alpha", "2", "--beta", "nan", "--days", "3")
+
+    @pytest.mark.parametrize("alpha, beta", [("1e200", "1e200"), ("1e154", "1e155")])
+    def test_huge_bounds_print_the_limits(self, capsys, alpha, beta):
+        # (alpha-1)*(beta-1) overflows; the weights tend to 1/n and the ratio to n.
+        code, out, _ = run_cli(
+            capsys, "weights", "--alpha", alpha, "--beta", beta, "--days", "3", "--format", "csv"
+        )
+        assert code == 0 and "nan" not in out
+        lines = out.splitlines()
+        assert lines[1:4] == [f"{day},0.333333333333,0.333333333333" for day in (1, 2, 3)]
+        assert lines[4] == "ratio,3,3"
 
 
 class TestSolve:
@@ -154,6 +169,12 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(11 / 7 * 1e9, rel=1e-12)
 
+    def test_ratio_past_float_range_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("1e-320\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (1, "") and err.startswith("error: the game value is too small")
+
 
 class TestSweep:
     def test_taipei_range(self, capsys):
@@ -181,6 +202,15 @@ class TestSweep:
         _, bal, da = lines[1].split(",")
         assert float(bal) == pytest.approx(4.0 / 3.0, abs=1e-11)
         assert float(da) == pytest.approx(4.0 / 3.0, abs=1e-11)
+
+    @pytest.mark.parametrize("alpha, beta", [("1e200", "1e200"), ("1e154", "1e155")])
+    def test_huge_bounds_print_the_limits(self, capsys, alpha, beta):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--alpha", alpha, "--beta", beta, "--from", "2", "--to", "4",
+            "--format", "csv",
+        )
+        assert code == 0 and "nan" not in out
+        assert out.splitlines()[1:] == ["2,2,2", "3,3,3", "4,4,4"]
 
     def test_svg(self, capsys):
         code, out, _ = run_cli(
@@ -415,3 +445,57 @@ def test_weights_and_sweep_do_not_import_numpy():
 def test_unknown_command_is_usage_error():
     usage_error("nonsense")
     usage_error()
+
+
+# Cells that reach past the header and the number grammar: bad, non-finite,
+# non-positive, huge and tiny numbers next to well-formed prices and payoffs.
+_TOKENS = st.sampled_from(
+    ["date", "close", "1997-13-01", "0", "-1", "1e308", "1e-320", "1e999", "nan", "inf",
+     "1_0", "\u0663", "\ufeff", "", " ", '"', "x"]
+)
+_NUMBERS = st.one_of(_TOKENS, st.floats(1e-300, 1e300).map(repr))
+_PRICE_ROWS = st.lists(
+    st.one_of(
+        st.tuples(st.dates(), _NUMBERS).map(lambda row: f"{row[0].isoformat()},{row[1]}"),
+        st.lists(_TOKENS, min_size=1, max_size=3).map(",".join),
+    ),
+    max_size=40,
+)
+_MATRIX_ROWS = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(_NUMBERS, min_size=width, max_size=width).map(",".join), min_size=1, max_size=5
+    )
+)
+
+
+_PRICE_FILES = st.one_of(
+    st.binary(max_size=300), _PRICE_ROWS.map(lambda rows: "\n".join(["date,close", *rows]).encode())
+)
+_MATRIX_FILES = st.one_of(
+    st.binary(max_size=300), _MATRIX_ROWS.map(lambda rows: "\n".join(rows).encode())
+)
+
+
+def _exit_code(subcommand, path, *options):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([subcommand, str(path), *options])
+
+
+class TestArbitraryInputFiles:
+    """Any bytes in an input file give exit 0 or 1, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("arbitrary") / "input.csv"
+
+    @given(data=_PRICE_FILES)
+    @settings(max_examples=50, deadline=None)
+    def test_backtest(self, path, data):
+        path.write_bytes(data)
+        assert _exit_code("backtest", path, "--preset", "taipei") in (0, 1)
+
+    @given(data=_MATRIX_FILES)
+    @settings(max_examples=50, deadline=None)
+    def test_solve(self, path, data):
+        path.write_bytes(data)
+        assert _exit_code("solve", path) in (0, 1)

@@ -229,6 +229,14 @@ def test_closed_form_scale_covariance(lam):
     assert scaled.adversary_strategy == pytest.approx(base.adversary_strategy, abs=1e-12)
 
 
+@pytest.mark.parametrize("H", [[[1e-320]], [[1e-310, 2e-310, 1e-310], [2e-310, 1e-310, 1e-310]]])
+def test_ratio_past_float_range_raises(H):
+    # The value is below 1/sys.float_info.max, so its reciprocal overflows;
+    # the first matrix takes the closed form, the second the LP.
+    with pytest.raises(NumericalFailure, match="too small"):
+        solve_game(H)
+
+
 def test_closed_form_agrees_with_lp_when_applicable():
     rng = np.random.default_rng(7)
     matched = 0

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from buyhold import (
     static_ratio_via_downturns,
     validate_sequence,
 )
+from buyhold.market import CIRCUIT_BREAKERS, _times_kernel, bal_weight_parts
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
@@ -32,6 +34,28 @@ TAIPEI_BETA = 1.07
 bounds = st.floats(min_value=1.0, max_value=10.0, exclude_min=True, allow_nan=False)
 small_horizons = st.integers(min_value=2, max_value=60)
 horizons = st.integers(min_value=2, max_value=200)
+
+
+def dense_kernel(params):
+    """The kernel as one elementwise power over the n x n gaps, the reference layout."""
+    day = np.arange(params.n)
+    gap = day[:, None] - day[None, :]
+    return np.where(gap <= 0, float(params.alpha), float(params.beta)) ** -np.abs(gap)
+
+
+def times_kernel_inverse(v, alpha, beta):
+    """``v @ K^-1`` in O(n) from the tridiagonal inverse of the kernel.
+
+    ``K^-1`` has ``-alpha`` on the sub-diagonal, ``-beta`` on the
+    super-diagonal and ``alpha*beta + 1`` on the diagonal, except
+    ``alpha*beta`` at the two corners, all divided by ``alpha*beta - 1``.
+    """
+    v = np.asarray(v, dtype=float)
+    out = (alpha * beta + 1.0) * v
+    out[[0, -1]] -= v[[0, -1]]
+    out[1:] -= beta * v[:-1]
+    out[:-1] -= alpha * v[1:]
+    return out / (alpha * beta - 1.0)
 
 
 def params_grid():
@@ -174,11 +198,43 @@ class TestPayoffKernel:
         assert np.all((K > 0.0) & (K <= 1.0))
 
     def test_long_horizon_raises_no_warning(self):
-        # 2.0**1099 overflows, so no entry may be formed as a positive power.
+        # 2.0**1074 overflows, so no entry may be formed as a positive power;
+        # 2.0**-1074 is the smallest subnormal, so n = 1075 is the last horizon.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            K = payoff_matrix_K(MarketParams(2, 2, 1100))
+            K = payoff_matrix_K(MarketParams(2, 2, 1075))
         assert K[0, 0] == 1.0 and K[0, 1] == 0.5 and K[1, 0] == 0.5
+        assert K[0, -1] == K[-1, 0] == 2.0**-1074
+        with pytest.raises(PreconditionViolated, match=r"largest horizon .* is n = 1075$"):
+            payoff_matrix_K(MarketParams(2, 2, 1100))
+
+    @pytest.mark.parametrize("preset", sorted(CIRCUIT_BREAKERS))
+    def test_toeplitz_layout_matches_elementwise_powers_bit_for_bit(self, preset):
+        alpha, beta = preset_bounds(preset)
+        # An entry of the reference depends only on i - j, so the reference for
+        # every n <= 1100 is the top-left block of the one for n = 1100.
+        reference = dense_kernel(MarketParams(alpha, beta, 1100))
+        for n in [*range(2, 301), 1000, 1100]:
+            K = payoff_matrix_K(MarketParams(alpha, beta, n))
+            assert K.flags.c_contiguous and K.flags.writeable
+            assert np.array_equal(K, reference[:n, :n])
+
+    @given(alpha=bounds, beta=bounds, n=horizons)
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_bounds_match_elementwise_powers_bit_for_bit(self, alpha, beta, n):
+        params = MarketParams(alpha, beta, n)
+        assert np.array_equal(payoff_matrix_K(params), dense_kernel(params))
+
+    @pytest.mark.parametrize(
+        "alpha, beta, last",
+        [(2.0, 2.0, 1075), (1.07, 1.5, 1838), (10.0, 1.1, 324), (1e200, 2.0, 2)],
+    )
+    def test_underflow_names_the_largest_positive_horizon(self, alpha, beta, last):
+        # The larger bound underflows first; the corner holds its deepest power.
+        K = payoff_matrix_K(MarketParams(alpha, beta, last))
+        assert K.min() > 0.0
+        with pytest.raises(PreconditionViolated, match=rf"is n = {last}$"):
+            payoff_matrix_K(MarketParams(alpha, beta, last + 1))
 
     def test_entries_are_trade_once_to_optimum_ratios(self):
         for params in params_grid():
@@ -365,6 +421,43 @@ class TestStaticRatio:
         assert got == pytest.approx(bal_ratio(params), rel=1e-12)
         assert bal_ratio(params) == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 21, 252, 1000, 2000])
+    def test_recurrences_match_dense_product(self, n):
+        rng = np.random.default_rng(n)
+        bounds_list = [preset_bounds(name) for name in ("taipei", "tokyo", "vienna")]
+        bounds_list += [tuple(1.0 + 0.4 * (1.0 - rng.random(2))) for _ in range(2)]
+        for alpha, beta in bounds_list:
+            params = MarketParams(alpha, beta, n)
+            K = payoff_matrix_K(params)
+            for weights in (rng.dirichlet(np.ones(n)), rng.random(n), bal_weights(params)):
+                dense = 1.0 / float((weights @ K).min())
+                got = static_ratio_via_downturns(weights, params)
+                assert got == pytest.approx(dense, rel=1e-14, abs=0.0)
+
+    def test_horizon_past_kernel_underflow(self):
+        params = MarketParams(2.0, 2.0, 1100)
+        with pytest.raises(PreconditionViolated):
+            payoff_matrix_K(params)
+        got = static_ratio_via_downturns(bal_weights(params), params)
+        assert got == pytest.approx(bal_ratio(params), rel=1e-15, abs=0.0)
+        assert got == pytest.approx(1102.0 / 3.0, rel=1e-15, abs=0.0)
+
+    def test_long_horizon_in_linear_memory(self):
+        params = MarketParams(TAIPEI_ALPHA, TAIPEI_BETA, 10**5)
+        got = static_ratio_via_downturns(bal_weights(params), params)
+        assert got == pytest.approx(bal_ratio(params), rel=1e-12, abs=0.0)
+        # Tracing slows every float the loops make, so the memory is taken at 10**4.
+        params = MarketParams(TAIPEI_ALPHA, TAIPEI_BETA, 10**4)
+        weights = bal_weights(params)
+        tracemalloc.start()
+        try:
+            static_ratio_via_downturns(weights, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A handful of length-n lists and arrays; one n x n array would be 800 MB.
+        assert peak < 32 * 8 * params.n
+
     def test_domination_over_admissible_sequences(self):
         # Extreme sequences (every step at a bound) plus random interior
         # ones never exceed the downturn maximum.
@@ -398,3 +491,57 @@ class TestStaticRatio:
         for seq in downturns(params) + [np.cumprod(rng.uniform(1 / 1.07, 1 / 0.93, 6))]:
             expectation = sum(w[i] * seq[i] for i in range(6))
             assert evaluate_static(w, seq) == pytest.approx(expectation, rel=1e-12)
+
+
+class TestTridiagonalInverse:
+    @given(alpha=bounds, beta=bounds, n=small_horizons)
+    @settings(max_examples=60, deadline=None)
+    def test_inverts_the_dense_kernel(self, alpha, beta, n):
+        K = payoff_matrix_K(MarketParams(alpha, beta, n))
+        K_inv = np.array([times_kernel_inverse(row, alpha, beta) for row in np.eye(n)])
+        assert np.abs(K @ K_inv - np.eye(n)).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 21, 252, 10**4, 10**5])
+    def test_normalized_column_sums_are_balanced_weights(self, n):
+        for name in sorted(CIRCUIT_BREAKERS):
+            params = MarketParams(*preset_bounds(name), n)
+            sums = times_kernel_inverse(np.ones(n), params.alpha, params.beta)
+            assert np.allclose(sums / sums.sum(), bal_weights(params), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 21, 252, 10**4, 10**5])
+    def test_undoes_the_recurrences(self, n):
+        rng = np.random.default_rng(n)
+        for alpha, beta in [preset_bounds("taipei"), preset_bounds("tokyo"), (2.0, 3.0)]:
+            a = rng.random(n)
+            back = times_kernel_inverse(_times_kernel(a, alpha, beta), alpha, beta)
+            assert np.abs(back - a).max() <= 1e-12
+
+
+class TestHugeBounds:
+    @pytest.mark.parametrize("alpha, beta", [(1e200, 1e200), (1e154, 1e155), (1e155, 1e154)])
+    @pytest.mark.parametrize("n", [2, 3, 252])
+    def test_limits_are_uniform_weights_and_ratio_n(self, alpha, beta, n):
+        params = MarketParams(alpha, beta, n)
+        assert bal_weight_parts(params) == (1.0 / n, 1.0 / n, 1.0 / n)
+        assert bal_ratio(params) == n
+        assert np.array_equal(bal_weights(params), np.full(n, 1.0 / n))
+
+    @pytest.mark.parametrize("n", [2, 3, 252])
+    def test_one_huge_bound_keeps_the_other(self, n):
+        # (alpha-1)*(beta-1) overflows; the limit alpha -> inf keeps beta's terms.
+        params = MarketParams(1e308, 10.0, n)
+        first, interior, last = bal_weight_parts(params)
+        scaled = n + 1.0 / 9.0
+        assert (first, interior) == pytest.approx((1.0 / scaled, 1.0 / scaled), rel=1e-15)
+        assert last == pytest.approx((1.0 + 1.0 / 9.0) / scaled, rel=1e-15)
+        assert bal_ratio(params) == pytest.approx(scaled / (1.0 + 1.0 / 9.0), rel=1e-15)
+
+    def test_forms_agree_where_both_are_finite(self):
+        # Just below the overflow of D both forms are finite; they must agree there.
+        for n in (2, 3, 252):
+            params = MarketParams(1e150, 1e150, n)
+            da = db = 1e150 - 1.0
+            scaled = n + 1.0 / da + 1.0 / db
+            expected = ((1.0 + 1.0 / da) / scaled, 1.0 / scaled, (1.0 + 1.0 / db) / scaled)
+            assert bal_weight_parts(params) == pytest.approx(expected, rel=1e-15)
+            assert bal_ratio(params) == pytest.approx(scaled / (1.0 + 2.0 / da), rel=1e-15)
