@@ -15,13 +15,14 @@ import csv
 import io
 import math
 import os
+import sys
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Callable
 
 import numpy as np
 
-from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError
+from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError, PreconditionViolated
 from .formatting import decode_utf8, parse_decimal, render, to_json
 from .market import MarketParams, bal_weights, check_bounds, da_weights
 from .svgchart import line_chart
@@ -281,6 +282,28 @@ def compare_report(
     return BacktestReport(alpha=alpha, beta=beta, windows=tuple(reports), skipped=tuple(skipped))
 
 
+def window_end(start: date, months: int) -> date:
+    """The last day of the ``months`` calendar months that begin with ``start``'s.
+
+    Raises ValueError unless ``months >= 1``, the window ends by
+    ``date.max``, in December 9999, and it holds a weekday from
+    ``start`` on.
+    """
+    if months < 1:
+        raise ValueError("months must be >= 1")
+    # Calendar months counted from January of year 0.
+    last = start.year * 12 + start.month - 1 + months - 1
+    if last > date.max.year * 12 + date.max.month - 1:
+        raise ValueError(f"{months} months from {start.isoformat()} run past {date.max:%Y-%m}")
+    year, month = divmod(last, 12)
+    # The day before the next month's first; the month after 9999-12 has no date.
+    end = date(year, 12, 31) if month == 11 else date(year, month + 2, 1) - timedelta(days=1)
+    # From a Saturday or Sunday, the next Monday is 7 - weekday days ahead.
+    if start.weekday() >= 5 and (end - start).days < 7 - start.weekday():
+        raise ValueError(f"no weekday from {start.isoformat()} to {end.isoformat()}")
+    return end
+
+
 def synthetic_prices(
     alpha: float,
     beta: float,
@@ -294,29 +317,30 @@ def synthetic_prices(
     Each day's rate factor is drawn uniformly from ``[1/beta, alpha]``,
     so every step (within and across months) respects the bounds; the
     price moves by the reciprocal factor.  Raises ValueError unless
-    ``alpha`` and ``beta`` are finite numbers > 1.
+    ``alpha`` and ``beta`` are finite numbers > 1, ``initial_price`` is
+    a finite number > 0, ``seed`` is >= 0 and ``window_end`` accepts
+    the window, and PreconditionViolated if a price overflows or falls
+    below the normal float range.
     """
     check_bounds(alpha, beta)
-    if months < 1:
-        raise ValueError("months must be >= 1")
+    end = window_end(start, months)
     if not (math.isfinite(initial_price) and initial_price > 0.0):
         raise ValueError(f"initial_price must be a finite number > 0, got {initial_price}")
-    first_month = (start.year, start.month)
-    dates = []
-    day = start
-    while True:
-        month_index = (day.year - first_month[0]) * 12 + (day.month - first_month[1])
-        if month_index >= months:
-            break
-        if day.weekday() < 5:
-            dates.append(day)
-        day += timedelta(days=1)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    days = range((end - start).days + 1)
+    dates = [day for day in (start + timedelta(days=k) for k in days) if day.weekday() < 5]
     rng = np.random.default_rng(seed)
     factors = rng.uniform(1.0 / beta, alpha, size=len(dates) - 1)
     closes = np.empty(len(dates))
     closes[0] = initial_price
-    for i, factor in enumerate(factors):
-        closes[i + 1] = closes[i] / factor
+    # An overflow is reported below as PreconditionViolated, not as a warning.
+    with np.errstate(over="ignore"):
+        for i, factor in enumerate(factors):
+            closes[i + 1] = closes[i] / factor
+    # A subnormal price has lost the digits that keep its steps within the bounds.
+    if not (closes.min() >= sys.float_info.min and closes.max() < math.inf):
+        raise PreconditionViolated(f"a synthetic price leaves the normal float range within {len(dates)} days")
     return PriceSeries(dates=tuple(dates), closes=closes)
 
 

@@ -8,7 +8,6 @@ fail a run), 1 on bad input data, 2 on usage errors.
 import argparse
 import csv
 import io
-import math
 import sys
 from datetime import date
 
@@ -22,12 +21,13 @@ from .params import (
     bal_ratio,
     bal_weight_parts,
     check_bounds,
+    downturn_rows,
     preset_bounds,
 )
 from .svgchart import line_chart
 
 # numpy, games and backtest are imported inside the subcommands that use
-# them, so that weights and sweep start without numpy.
+# them, so that weights, sweep and downturns start without numpy.
 
 #: Largest horizon for ``weights --days`` and ``sweep --to``, whose work is linear in it.
 MAX_DAYS = 10000
@@ -37,18 +37,26 @@ MAX_DOWNTURN_DAYS = 1000
 MAX_MONTHS = 1200
 
 
+def decimal(text: str) -> float:
+    """Argument type for a number flag: ``formatting.parse_decimal``'s grammar."""
+    try:
+        return parse_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def tolerance(text: str) -> float:
     """Argument type for ``backtest --tolerance``: a finite number >= 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
+    value = decimal(text)
+    if not value >= 0.0:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
 def price(text: str) -> float:
     """Argument type for ``--price``: a finite number > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
+    value = decimal(text)
+    if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
@@ -61,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--alpha", type=float, help="maximum daily up-factor of the rate (> 1)")
-    bounds.add_argument("--beta", type=float, help="reciprocal of the maximum daily down-factor (> 1)")
+    bounds.add_argument("--alpha", type=decimal, help="maximum daily up-factor of the rate (> 1)")
+    bounds.add_argument("--beta", type=decimal, help="reciprocal of the maximum daily down-factor (> 1)")
     bounds.add_argument(
         "--preset",
         choices=sorted(CIRCUIT_BREAKERS),
@@ -108,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[bounds, output], help="seeded synthetic admissible price CSV")
     p.add_argument("--months", type=int, default=12, help=f"number of calendar months (1 to {MAX_MONTHS})")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (>= 0)")
     p.add_argument("--start", type=date.fromisoformat, default=date(1997, 1, 1), help="first day (ISO)")
     p.add_argument("--price", type=price, default=100.0, help="initial price (> 0)")
     p.set_defaults(func=cmd_synth)
@@ -218,14 +226,12 @@ def cmd_sweep(args, parser) -> str:
 
 
 def cmd_downturns(args, parser) -> str:
-    from .market import downturns
-
     params = resolve_params(args, parser, MAX_DOWNTURN_DAYS)
-    seqs = downturns(params)
+    rows = downturn_rows(params)
     if args.format == "json":
-        return to_json({"downturns": seqs})
+        return to_json({"downturns": rows})
     # text and csv coincide: one rate sequence per row.
-    return render(seqs, "csv")
+    return render(rows, "csv")
 
 
 def cmd_backtest(args, parser) -> str:
@@ -252,11 +258,17 @@ def cmd_backtest(args, parser) -> str:
 
 
 def cmd_synth(args, parser) -> str:
-    from .backtest import series_csv, synthetic_prices
+    from .backtest import series_csv, synthetic_prices, window_end
 
     alpha, beta = resolve_bounds(args, parser)
     if not 1 <= args.months <= MAX_MONTHS:
         parser.error(f"--months must be between 1 and {MAX_MONTHS}")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    try:
+        window_end(args.start, args.months)
+    except ValueError as exc:
+        parser.error(str(exc))
     series = synthetic_prices(
         alpha, beta, months=args.months, seed=args.seed, start=args.start, initial_price=args.price
     )

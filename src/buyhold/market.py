@@ -35,6 +35,7 @@ from .params import (
     check_bounds,
     check_horizon,
     da_ratio,
+    downturn_rows,
     preset_bounds,
     preset_params,
 )
@@ -76,31 +77,8 @@ def evaluate_static(weights, rates) -> float:
 
 
 def downturns(params: MarketParams) -> list[np.ndarray]:
-    """The ``n`` worst-case rate sequences for static strategies.
-
-    Sequence ``j`` (1-based) rises by ``alpha`` for ``j`` days, then
-    falls by ``1/beta`` for the rest.  Built by stepwise multiplication
-    and division (accumulated ufuncs, not powers) so each generated
-    sequence is exactly admissible under stepwise validation.  Raises
-    PreconditionViolated when a rate leaves the float range, rising to
-    ``inf`` or falling to ``0``.
-    """
-    n = params.n
-    # An overflow is reported below as PreconditionViolated, not as a warning.
-    with np.errstate(over="ignore"):
-        rise = np.multiply.accumulate(np.full(n, float(params.alpha)))
-    # falls[p, t]: the peak rise[p] divided by beta t times, one step at a time.
-    steps = np.full((n, n + 1), float(params.beta))
-    steps[:, 0] = rise
-    falls = np.divide.accumulate(steps, axis=1)
-    # Read in rows of n, each (n + 1)-wide row shifts one further right,
-    # which puts falls[p, t] on day p + t of the sequence that peaks on
-    # day p (0-based); the days up to the peak come from the rise.
-    skewed = falls.ravel()[: n * n].reshape(n, n)
-    rows = np.where(np.tri(n, dtype=bool), rise, skewed)
-    if not (np.isfinite(rise[-1]) and rows.min() > 0.0):
-        raise PreconditionViolated(f"a downturn rate leaves the float range for {params}")
-    return list(rows)
+    """The ``n`` worst-case rate sequences of ``downturn_rows``, as arrays."""
+    return [np.array(row) for row in downturn_rows(params)]
 
 
 def payoff_matrix_K(params: MarketParams) -> np.ndarray:
@@ -150,8 +128,13 @@ def det_K_closed_form(params: MarketParams) -> float:
     """Determinant of the downturn payoff kernel: (1 - 1/(alpha*beta))**(n-1)."""
     a, b = params.alpha, params.beta
     da, db = a - 1.0, b - 1.0
-    # (a*b - 1)/(a*b) written without cancellation for a, b near 1.
-    base = (da + db + da * db) / (a * b)
+    if math.isfinite(a * b):
+        # (a*b - 1)/(a*b) written without cancellation for a, b near 1.
+        base = (da + db + da * db) / (a * b)
+    else:
+        # The quotient above would be inf/inf.  1/(a*b) is below half an ulp of 1
+        # here, so this rounds to the true base, 1.
+        base = 1.0 - 1.0 / a / b
     return base ** (params.n - 1)
 
 

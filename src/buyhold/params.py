@@ -2,15 +2,19 @@
 
 The return bounds, the horizon, the circuit-breaker presets, the three
 distinct balanced weights and the exact competitive ratios of the
-balanced strategy and of dollar averaging are scalar formulas.  This
-module holds them without importing numpy, so the ``weights`` and
-``sweep`` subcommands start without it; ``market`` re-exports every
-name and builds the array-valued quantities on top.
+balanced strategy and of dollar averaging are scalar formulas, and the
+downturn sequences are stepwise products.  This module holds them
+without importing numpy or ``dataclasses``, so the ``weights``,
+``sweep`` and ``downturns`` subcommands start without either;
+``market`` re-exports the names and builds the array-valued quantities
+on top.
 """
 
 import math
 import operator
-from dataclasses import dataclass
+from itertools import accumulate, repeat
+
+from .errors import PreconditionViolated
 
 #: Exchange circuit-breaker limits as (daily floor, daily cap) on the
 #: price ratio; the rate up-factor bound is the reciprocal of the floor.
@@ -42,22 +46,48 @@ def check_horizon(n) -> None:
         raise ValueError(f"horizon n must be an integer >= 2, got {n}")
 
 
-@dataclass(frozen=True)
 class MarketParams:
     """Daily return bounds and horizon length.
 
     ``alpha`` bounds the daily up-factor of the exchange rate, ``1/beta``
     the down-factor; both must exceed 1.  Horizons shorter than two days
     are rejected: with a single day every strategy is forced.
+
+    Immutable, compared and hashed by ``(alpha, beta, n)``.  A plain
+    class with slots rather than a frozen dataclass, because importing
+    ``dataclasses`` costs every CLI process more than its subcommand.
     """
 
-    alpha: float
-    beta: float
-    n: int
+    __slots__ = ("alpha", "beta", "n")
 
-    def __post_init__(self):
-        check_bounds(self.alpha, self.beta)
-        check_horizon(self.n)
+    def __init__(self, alpha: float, beta: float, n: int):
+        check_bounds(alpha, beta)
+        check_horizon(n)
+        # Assignment is refused below, so the slots are filled through object.
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"MarketParams(alpha={self.alpha!r}, beta={self.beta!r}, n={self.n!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.beta, self.n) == (other.alpha, other.beta, other.n)
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta, self.n))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses.
+        return MarketParams, (self.alpha, self.beta, self.n)
 
 
 def preset_bounds(name: str) -> tuple[float, float]:
@@ -74,6 +104,31 @@ def preset_params(name: str, n: int) -> MarketParams:
     """MarketParams for a named preset and horizon ``n``."""
     alpha, beta = preset_bounds(name)
     return MarketParams(alpha=alpha, beta=beta, n=n)
+
+
+def downturn_rows(params: MarketParams) -> list[list[float]]:
+    """The ``n`` worst-case rate sequences for static strategies.
+
+    Sequence ``j`` (1-based) rises by ``alpha`` for ``j`` days, then
+    falls by ``1/beta`` for the rest.  Built by stepwise multiplication
+    and division, not powers, so each generated sequence is exactly
+    admissible under stepwise validation.  Raises PreconditionViolated
+    when a rate leaves the float range, rising to ``inf`` or falling to
+    ``0``.
+    """
+    n, alpha, beta = params.n, float(params.alpha), float(params.beta)
+    rise = list(accumulate(repeat(alpha, n), operator.mul))
+    # The sequence that peaks on day p (0-based) is the rise up to p, then
+    # the peak divided by beta once per remaining day.
+    rows = [
+        rise[:p] + list(accumulate(repeat(beta, n - 1 - p), operator.truediv, initial=peak))
+        for p, peak in enumerate(rise)
+    ]
+    # Rounding is monotone, so each row's smallest rate is its first (alpha)
+    # or its last, and no rate exceeds the last rise.
+    if not (math.isfinite(rise[-1]) and min(row[-1] for row in rows) > 0.0):
+        raise PreconditionViolated(f"a downturn rate leaves the float range for {params}")
+    return rows
 
 
 def bal_weight_parts(params: MarketParams) -> tuple[float, float, float]:

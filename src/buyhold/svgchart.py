@@ -92,12 +92,10 @@ def line_chart(x_labels, series, title: str = "", y_label: str = "") -> str:
             f'font-family="sans-serif" font-size="11">{x_labels[i]}</text>'
         )
 
+    # Every series shares the x positions, so each is formatted once.
+    xs = [_fmt(x_pos(i)) for i in range(len(x_labels))]
     for idx, (name, values, dashed) in enumerate(series):
-        pts = [
-            f"{_fmt(x_pos(i))},{_fmt(y_pos(v))}"
-            for i, v in enumerate(values)
-            if v is not None
-        ]
+        pts = [f"{x},{y_pos(v):.2f}" for x, v in zip(xs, values) if v is not None]
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         out.append(
             f'<polyline fill="none" stroke="black" stroke-width="1.5"{dash} '

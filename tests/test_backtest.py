@@ -1,5 +1,5 @@
 import io
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from buyhold import (
     NonPositivePrice,
     ParseError,
     MarketParams,
+    PreconditionViolated,
     PlanWindow,
     Violation,
     bal_ratio,
@@ -342,6 +343,45 @@ class TestSynthetic:
     def test_bad_bounds_rejected(self, alpha, beta):
         with pytest.raises(ValueError, match="finite number > 1"):
             synthetic_prices(alpha, beta, months=1)
+
+    @pytest.mark.parametrize(
+        "start, months",
+        [(date(1997, 1, 1), 12), (date(2000, 2, 29), 1), (date(2001, 3, 31), 2), (date(2004, 12, 18), 3),
+         (date(1, 1, 1), 2), (date(9999, 10, 31), 3), (date(9999, 12, 31), 1)],
+    )
+    def test_dates_are_the_weekdays_of_the_window(self, start, months):
+        # Reference: every day from start until the calendar month index reaches months.
+        expected, day = [], start
+        while (day.year - start.year) * 12 + day.month - start.month < months:
+            if day.weekday() < 5:
+                expected.append(day)
+            if day == date.max:
+                break
+            day += timedelta(days=1)
+        assert synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=months, start=start).dates == tuple(expected)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=1, seed=-1)
+
+    @pytest.mark.parametrize(
+        "start, months", [(date(9999, 12, 1), 2), (date(9999, 1, 31), 13), (date(1, 1, 1), 120000)]
+    )
+    def test_window_past_the_calendar_rejected(self, start, months):
+        with pytest.raises(ValueError, match="run past 9999-12"):
+            synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=months, start=start)
+
+    @pytest.mark.parametrize("start", [date(2000, 9, 30), date(2000, 12, 30), date(2000, 12, 31)])
+    def test_window_without_a_weekday_rejected(self, start):
+        with pytest.raises(ValueError, match="no weekday"):
+            synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=1, start=start)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, price", [(1.1, 1.2, 100.0), (2.0, 2.0, 100.0), (TAIPEI_ALPHA, TAIPEI_BETA, 1e-320)]
+    )
+    def test_price_leaving_the_normal_float_range_raises(self, alpha, beta, price):
+        with pytest.raises(PreconditionViolated, match="float range"):
+            synthetic_prices(alpha, beta, months=1200, start=date(1, 1, 1), initial_price=price)
 
     def test_every_step_within_bounds(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=6, seed=14)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buyhold import ParseError, backtest, cli, market
+from buyhold import ParseError, backtest, cli
 from buyhold.cli import main, read_matrix_csv
 from buyhold.formatting import fmt12
 from buyhold.market import MarketParams, payoff_matrix_K, validate_sequence
@@ -374,6 +374,30 @@ class TestSynth:
         series = load_prices(path)
         assert series.dates[0].isoformat().startswith("2001-03")
 
+    def test_negative_seed_is_usage_error(self):
+        usage_error("synth", "--preset", "taipei", "--seed", "-1")
+
+    def test_window_past_the_calendar_is_usage_error(self):
+        usage_error("synth", "--preset", "taipei", "--start", "9999-11-15", "--months", "3")
+        usage_error("synth", "--preset", "taipei", "--start", "9900-02-01", "--months", "1200")
+
+    def test_window_without_a_weekday_is_usage_error(self):
+        # 2000-09-30 is a Saturday, the last day of its month.
+        usage_error("synth", "--preset", "taipei", "--start", "2000-09-30", "--months", "1")
+
+    def test_last_calendar_month(self, capsys):
+        code, out, _ = run_cli(capsys, "synth", "--preset", "taipei", "--start", "9999-12-01", "--months", "1")
+        lines = out.splitlines()
+        assert code == 0
+        assert (lines[1].split(",")[0], lines[-1].split(",")[0], len(lines)) == ("9999-12-01", "9999-12-31", 24)
+
+    @pytest.mark.parametrize("bounds", [("--alpha", "1.1", "--beta", "1.2"), ("--alpha", "2", "--beta", "2")])
+    def test_price_leaving_the_float_range_exits_one(self, capsys, bounds):
+        # A century of drift overflows the first walk and drives the second to subnormals.
+        code, out, err = run_cli(capsys, "synth", *bounds, "--months", "1200", "--start", "0001-01-01")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "float range" in err
+
     def test_usage_error(self):
         usage_error("synth", "--preset", "taipei", "--months", "0")
         usage_error("synth", "--alpha", "inf", "--beta", "2", "--months", "1")
@@ -390,14 +414,14 @@ class TestSizeCaps:
             raise AssertionError("work started past a size cap")
 
         # Each name where the subcommand looks it up: cli binds the numpy-free
-        # closed forms at import, and imports downturns and synthetic_prices
-        # from their modules when the subcommand runs.
+        # closed forms at import, and imports synthetic_prices from its module
+        # when the subcommand runs.
         for module, name in (
             (cli, "bal_weight_parts"),
             (cli, "bal_ratio"),
             (cli, "_bal_ratio"),
             (cli, "_da_ratio"),
-            (market, "downturns"),
+            (cli, "downturn_rows"),
             (backtest, "synthetic_prices"),
         ):
             monkeypatch.setattr(module, name, refuse)
@@ -412,6 +436,9 @@ class TestSizeCaps:
             ["downturns", "--preset", "taipei", "--days", "1001"],
             ["downturns", "--preset", "taipei", "--days", "100000"],
             ["synth", "--preset", "taipei", "--months", "1201"],
+            ["synth", "--preset", "taipei", "--seed", "-1"],
+            ["synth", "--preset", "taipei", "--start", "9999-12-01", "--months", "2"],
+            ["synth", "--preset", "taipei", "--start", "2000-09-30", "--months", "1"],
         ],
     )
     def test_past_cap_is_usage_error(self, argv):
@@ -422,11 +449,16 @@ class TestSizeCaps:
         assert code == 0 and len(out.splitlines()) == 10002
 
 
-def test_weights_and_sweep_do_not_import_numpy():
-    formats = {"weights": ("text", "json", "csv"), "sweep": ("text", "json", "csv", "svg")}
+def test_closed_form_subcommands_import_neither_numpy_nor_dataclasses():
+    formats = {
+        "weights": ("text", "json", "csv"),
+        "sweep": ("text", "json", "csv", "svg"),
+        "downturns": ("text", "json", "csv"),
+    }
     rest = {
         "weights": ["--preset", "taipei", "--days", "21"],
         "sweep": ["--alpha", "1.1", "--beta", "1.2", "--from", "2", "--to", "30"],
+        "downturns": ["--alpha", "1.1", "--beta", "1.2", "--days", "5"],
     }
     calls = [[sub, *rest[sub], "--format", fmt] for sub in formats for fmt in formats[sub]]
     script = (
@@ -434,12 +466,29 @@ def test_weights_and_sweep_do_not_import_numpy():
         "from buyhold import cli\n"
         f"for argv in {calls!r}:\n"
         "    assert cli.main(argv) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "loaded = {'numpy', 'dataclasses'} & set(sys.modules)\n"
+        "assert not loaded, f'imported {sorted(loaded)}'\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("</svg>") == 1
+    assert done.stdout.count('"downturns"') == 1
+
+
+@pytest.mark.parametrize("value", ["1_1", "\u0661.\u0665", "\uff12", "0x10", "1e999", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--alpha", ["weights", "--beta", "2", "--days", "3"]),
+        ("--beta", ["weights", "--alpha", "2", "--days", "3"]),
+        ("--tolerance", ["backtest", "prices.csv", "--preset", "taipei"]),
+        ("--price", ["synth", "--preset", "taipei", "--months", "1"]),
+    ],
+)
+def test_number_flags_read_the_decimal_grammar(flag, argv, value):
+    # float() reads "1_1" as 11 and Arabic-Indic "1.5" as 1.5; parse_decimal refuses both.
+    usage_error(*argv, f"{flag}={value}")
 
 
 def test_unknown_command_is_usage_error():
@@ -499,3 +548,50 @@ class TestArbitraryInputFiles:
     def test_solve(self, path, data):
         path.write_bytes(data)
         assert _exit_code("solve", path) in (0, 1)
+
+
+# Values for each number flag: well-formed ones next to bad, non-finite,
+# huge, negative and tiny numbers, and dates near both ends of the calendar.
+_BAD_NUMBERS = ["", "x", "nan", "inf", "-inf", "1e999", "-1", "0", "1_1", "١.٥", "0x10"]
+_FLAG_VALUES = {
+    "--alpha": ["1.07", "2", "1", "0.5", "1e308", "1e200", "1.0000000000000002", *_BAD_NUMBERS],
+    "--beta": ["1.07", "2", "1", "1e-320", "1e154", "1e155", *_BAD_NUMBERS],
+    "--preset": ["taipei", "tokyo", "nowhere"],
+    "--tolerance": ["0", "-0", "1e-9", "1e308", "1e-320", *_BAD_NUMBERS],
+    "--price": ["100", "1e308", "1e-300", "1e-320", *_BAD_NUMBERS],
+    "--days": ["2", "3", "21", "1", "1001", "10001", "99999999999999999999", *_BAD_NUMBERS],
+    "--months": ["1", "12", "1200", "1201", "99999999999999999999", *_BAD_NUMBERS],
+    "--seed": ["0", "7", "18446744073709551616", *_BAD_NUMBERS],
+    "--start": ["0001-01-01", "0001-12-31", "2000-09-30", "9999-11-30", "9999-12-01", "9999-12-31",
+                "0000-01-01", "2001-02-29", "x"],
+}
+_FLAGS = st.lists(
+    st.sampled_from(sorted(_FLAG_VALUES)).flatmap(
+        lambda flag: st.sampled_from(_FLAG_VALUES[flag]).map(lambda value: f"{flag}={value}")
+    ),
+    max_size=6,
+)
+_SUBCOMMANDS = st.sampled_from(
+    [["weights"], ["sweep", "--from=2", "--to=30"], ["downturns"], ["synth"], ["backtest", "{prices}"]]
+)
+
+
+class TestArgumentVectors:
+    """Any mix of the number flags gives exit 0, 1 or 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def prices(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("argv") / "prices.csv"
+        path.write_text("date,close\n2000-01-03,10\n2000-01-04,10.5\n2000-01-05,10.2\n")
+        return path
+
+    @given(head=_SUBCOMMANDS, flags=_FLAGS)
+    @settings(max_examples=150, deadline=None)
+    def test_exit_zero_one_or_two(self, prices, head, flags):
+        argv = [arg.replace("{prices}", str(prices)) for arg in head] + flags
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv

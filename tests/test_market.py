@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import tracemalloc
 import warnings
 
@@ -83,6 +85,55 @@ class TestMarketParams:
         for bad in (True, "3", 3.0, None):
             with pytest.raises(ValueError):
                 MarketParams(2.0, 2.0, bad)
+
+    def test_positional_and_keyword_construction(self):
+        params = MarketParams(2.0, 1.5, 4)
+        assert (params.alpha, params.beta, params.n) == (2.0, 1.5, 4)
+        assert MarketParams(alpha=2.0, beta=1.5, n=4) == params
+        assert MarketParams(2.0, n=4, beta=1.5) == params
+        with pytest.raises(TypeError):
+            MarketParams(2.0, 1.5)
+
+    def test_bounds_are_checked_before_the_horizon(self):
+        with pytest.raises(ValueError, match="alpha"):
+            MarketParams(0.5, 2.0, 1)
+        with pytest.raises(ValueError, match="beta"):
+            MarketParams(2.0, 0.5, 1)
+        with pytest.raises(ValueError, match="horizon"):
+            MarketParams(2.0, 2.0, 1)
+
+    def test_fields_cannot_change(self):
+        params = MarketParams(2.0, 1.5, 4)
+        for name in ("alpha", "beta", "n", "other"):
+            with pytest.raises(AttributeError):
+                setattr(params, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(params, name)
+        assert (params.alpha, params.beta, params.n) == (2.0, 1.5, 4)
+
+    def test_equality_and_hash_over_the_fields(self):
+        params = MarketParams(2.0, 1.5, 4)
+        assert params == MarketParams(2.0, 1.5, 4)
+        assert params == MarketParams(2.0, 1.5, np.int64(4))
+        assert hash(params) == hash(MarketParams(2.0, 1.5, np.int64(4))) == hash((2.0, 1.5, 4))
+        assert params != MarketParams(2.0, 1.5, 5)
+        assert params != MarketParams(1.5, 2.0, 4)
+        assert params != (2.0, 1.5, 4)
+        assert len({params, MarketParams(2.0, 1.5, 4), MarketParams(2.0, 1.5, 5)}) == 2
+
+    def test_repr_names_every_field(self):
+        # Error messages embed this text.
+        assert repr(MarketParams(2.0, 1.07, 21)) == "MarketParams(alpha=2.0, beta=1.07, n=21)"
+        assert str(MarketParams(TAIPEI_ALPHA, 1.5, 3)) == f"MarketParams(alpha={TAIPEI_ALPHA!r}, beta=1.5, n=3)"
+
+    @pytest.mark.parametrize("n", [21, np.int64(21)])
+    def test_pickle_and_copy_round_trip(self, n):
+        params = MarketParams(TAIPEI_ALPHA, TAIPEI_BETA, n)
+        for clone in (pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params)):
+            assert type(clone) is MarketParams and clone == params
+            assert type(clone.n) is type(n)
+            with pytest.raises(AttributeError):
+                clone.n = 3
 
     def test_presets_match_published_limits(self):
         expected = {
@@ -525,6 +576,8 @@ class TestHugeBounds:
         assert bal_weight_parts(params) == (1.0 / n, 1.0 / n, 1.0 / n)
         assert bal_ratio(params) == n
         assert np.array_equal(bal_weights(params), np.full(n, 1.0 / n))
+        # (1 - 1/(alpha*beta))**(n-1) rounds to 1 once alpha*beta overflows.
+        assert det_K_closed_form(params) == 1.0
 
     @pytest.mark.parametrize("n", [2, 3, 252])
     def test_one_huge_bound_keeps_the_other(self, n):
