@@ -18,22 +18,12 @@ __version__ = "0.1.0"
 #: Each module and the public names it provides to the package.
 _EXPORTS = {
     "backtest": (
-        "BacktestReport",
-        "PlanResult",
-        "PlanWindow",
-        "PriceSeries",
-        "Violation",
-        "WindowReport",
         "compare_report",
-        "find_violations",
-        "load_prices",
         "parse_prices",
         "report_csv",
         "report_json",
         "report_svg",
-        "run_plan",
         "segment_monthly",
-        "series_csv",
         "synthetic_prices",
     ),
     "errors": (
@@ -51,11 +41,7 @@ _EXPORTS = {
     "games": (
         "FEASIBILITY_TOL",
         "OPTIMALITY_TOL",
-        "GameSolution",
-        "LpSolution",
-        "as_payoff_matrix",
         "check_extreme_point",
-        "is_mixed_strategy",
         "solve_game",
         "solve_game_closed_form",
         "solve_game_lp",
@@ -72,7 +58,6 @@ _EXPORTS = {
         "offline_optimum",
         "payoff_matrix_K",
         "static_ratio_via_downturns",
-        "validate_sequence",
     ),
     "params": (
         "CIRCUIT_BREAKERS",

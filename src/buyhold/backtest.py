@@ -1,14 +1,15 @@
-"""Backtesting static buy-and-hold plans on daily closing prices.
+"""Backtesting the balanced strategy against dollar averaging on daily closes.
 
 One plan is run per calendar month: the month's exchange rates are the
 reciprocals of its closing prices (deliberately not renormalized; the
-realized ratio is scale-invariant), a strategy's weights are generated
-for the month's actual trading-day count, and the plan records shares
-accumulated, their currency value at the month's last close, the
-realized competitive ratio, and any daily moves that violate the
-configured return bounds.  Violations are diagnostics: the theory
-assumes admissible sequences, and real data (splits, halts) may break
-that assumption, so offending windows are reported but still evaluated.
+realized ratio is scale-invariant).  The balanced allocation (BAL) for
+the month's trading-day count and dollar averaging (DA) each record
+shares accumulated, their currency value at the month's last close and
+the realized competitive ratio.  Both list the month's daily moves that
+violate the configured return bounds, found once per month.  Violations
+are diagnostics: the theory assumes admissible sequences, and real data
+(splits, halts) may break that assumption, so offending windows are
+reported but still evaluated.
 """
 
 import csv
@@ -18,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Callable
+from itertools import groupby
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class PlanResult:
-    """Outcome of one strategy on one window."""
+    """Outcome of one strategy on one window; both strategies share ``violations``."""
 
     shares: float
     currency_value: float
@@ -103,7 +104,7 @@ class WindowReport:
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Per-window results for every strategy, plus skipped windows."""
+    """Per-window results of BAL and DA, in that order, plus skipped windows."""
 
     alpha: float
     beta: float
@@ -158,18 +159,10 @@ def parse_prices(text: str) -> PriceSeries:
     )
 
 
-def load_prices(source) -> PriceSeries:
-    """Load a price CSV from a path, file object, bytes, or text."""
-    if hasattr(source, "read"):
-        data = source.read()
-    elif isinstance(source, bytes):
-        data = source
-    else:
-        with open(os.fspath(source), "rb") as handle:
-            data = handle.read()
-    if isinstance(data, bytes):
-        data = decode_utf8(data)
-    return parse_prices(data)
+def load_prices(path) -> PriceSeries:
+    """Load a price CSV file; ``parse_prices(decode_utf8(data))`` reads other sources."""
+    with open(os.fspath(path), "rb") as handle:
+        return parse_prices(decode_utf8(handle.read()))
 
 
 def segment_monthly(series: PriceSeries):
@@ -184,25 +177,15 @@ def segment_monthly(series: PriceSeries):
     windows: list[PlanWindow] = []
     skipped: list[tuple[str, str]] = []
     start = 0
-    for i in range(1, len(series) + 1):
-        boundary = i == len(series) or (
-            (series.dates[i].year, series.dates[i].month)
-            != (series.dates[start].year, series.dates[start].month)
-        )
-        if not boundary:
-            continue
-        label = f"{series.dates[start].year:04d}-{series.dates[start].month:02d}"
-        if i - start >= 2:
-            windows.append(
-                PlanWindow(
-                    label=label,
-                    dates=series.dates[start:i],
-                    closes=series.closes[start:i].copy(),
-                )
-            )
+    for (year, month), days in groupby(series.dates, key=lambda day: (day.year, day.month)):
+        stop = start + len(list(days))
+        label = f"{year:04d}-{month:02d}"
+        if stop - start >= 2:
+            # PriceSeries.closes is read-only, so the window shares it.
+            windows.append(PlanWindow(label, series.dates[start:stop], series.closes[start:stop]))
         else:
-            skipped.append((label, f"only {i - start} trading day(s)"))
-        start = i
+            skipped.append((label, f"only {stop - start} trading day(s)"))
+        start = stop
     return windows, skipped
 
 
@@ -225,36 +208,6 @@ def find_violations(rates, alpha: float, beta: float, slack: float = VIOLATION_S
     )
 
 
-def run_plan(
-    weights_for: Callable[[int], np.ndarray],
-    window: PlanWindow,
-    alpha: float,
-    beta: float,
-    slack: float = VIOLATION_SLACK,
-) -> PlanResult:
-    """Execute one strategy on one window.
-
-    ``weights_for`` maps the window's trading-day count to the daily
-    capital fractions.  Rates are the raw price reciprocals: shares are
-    the weighted sum of rates, the currency value converts them at the
-    final close, and the realized ratio compares the best single-day
-    rate with the plan's accumulation.
-    """
-    weights = np.asarray(weights_for(len(window)), dtype=float).ravel()
-    if weights.shape[0] != len(window):
-        raise LengthMismatch(
-            f"strategy produced {weights.shape[0]} weights for a {len(window)}-day window"
-        )
-    rates = window.rates
-    shares = float(weights @ rates)
-    return PlanResult(
-        shares=shares,
-        currency_value=shares * float(window.closes[-1]),
-        realized_ratio=float(rates.max()) / shares,
-        violations=find_violations(rates, alpha, beta, slack=slack),
-    )
-
-
 def compare_report(
     series: PriceSeries, alpha: float, beta: float, slack: float = VIOLATION_SLACK
 ) -> BacktestReport:
@@ -263,22 +216,24 @@ def compare_report(
     Raises ValueError unless ``alpha`` and ``beta`` are finite numbers
     > 1.  Months too short for a plan are listed as skipped; the output
     ordering is fixed by window date, so identical inputs yield
-    identical reports.
+    identical reports.  Shares are the weighted sum of the rates, the
+    currency value converts them at the month's last close, and the
+    realized ratio compares the best single-day rate with the shares.
     """
     check_bounds(alpha, beta)
     alpha, beta = float(alpha), float(beta)
-    strategies = (
-        ("BAL", lambda n: bal_weights(MarketParams(alpha=alpha, beta=beta, n=n))),
-        ("DA", da_weights),
-    )
     windows, skipped = segment_monthly(series)
     reports = []
     for window in windows:
-        results = tuple(
-            (name, run_plan(weights_for, window, alpha, beta, slack=slack))
-            for name, weights_for in strategies
-        )
-        reports.append(WindowReport(label=window.label, n=len(window), results=results))
+        n = len(window)
+        rates = window.rates
+        best, last = float(rates.max()), float(window.closes[-1])
+        violations = find_violations(rates, alpha, beta, slack=slack)
+        results = []
+        for name, weights in (("BAL", bal_weights(MarketParams(alpha, beta, n))), ("DA", da_weights(n))):
+            shares = float(weights @ rates)
+            results.append((name, PlanResult(shares, shares * last, best / shares, violations)))
+        reports.append(WindowReport(label=window.label, n=n, results=tuple(results)))
     return BacktestReport(alpha=alpha, beta=beta, windows=tuple(reports), skipped=tuple(skipped))
 
 
@@ -395,12 +350,13 @@ def report_csv(report: BacktestReport) -> str:
 
 
 def report_svg(report: BacktestReport) -> str:
-    """Line chart of realized ratios per window, one series per strategy."""
-    ratios = [{name: r.realized_ratio for name, r in window.results} for window in report.windows]
-    names = dict.fromkeys(name for by_name in ratios for name in by_name)
-    series = [
-        (name, [by_name.get(name) for by_name in ratios], idx % 2 == 1)
-        for idx, name in enumerate(names)
-    ]
+    """Line chart of realized ratios per window: BAL solid, DA dashed.
+
+    Raises PreconditionViolated if the report has no window to plot.
+    """
+    if not report.windows:
+        raise PreconditionViolated("no month has the two trading days a plan needs, so nothing to plot")
+    bal, da = zip(*[[r.realized_ratio for _, r in window.results] for window in report.windows])
     labels = [window.label for window in report.windows]
+    series = [("BAL", bal, False), ("DA", da, True)]
     return line_chart(labels, series, title="Realized competitive ratios", y_label="ratio")

@@ -37,6 +37,16 @@ MAX_DOWNTURN_DAYS = 1000
 MAX_MONTHS = 1200
 
 
+def integer(text: str) -> int:
+    """Argument type for a whole-number flag: ``int``'s grammar in ASCII, without ``_``.
+
+    argparse reports a ValueError as ``invalid integer value``.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def decimal(text: str) -> float:
     """Argument type for a number flag: ``formatting.parse_decimal``'s grammar."""
     try:
@@ -84,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default="text", help="output format")
 
     p = sub.add_parser("weights", parents=[bounds, output], help="balanced strategy weights and ratio")
-    p.add_argument("--days", type=int, required=True, help=f"horizon length in days (2 to {MAX_DAYS})")
+    p.add_argument("--days", type=integer, required=True, help=f"horizon length in days (2 to {MAX_DAYS})")
     add_format(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_weights)
 
@@ -94,13 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[bounds, output], help="ratio curves over a horizon range")
-    p.add_argument("--from", dest="n_from", type=int, required=True, metavar="N", help="first horizon")
-    p.add_argument("--to", dest="n_to", type=int, required=True, metavar="N", help=f"last horizon (<= {MAX_DAYS})")
+    p.add_argument("--from", dest="n_from", type=integer, required=True, metavar="N", help="first horizon")
+    p.add_argument("--to", dest="n_to", type=integer, required=True, metavar="N", help=f"last horizon (<= {MAX_DAYS})")
     add_format(p, ["text", "json", "csv", "svg"])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("downturns", parents=[bounds, output], help="worst-case rate sequences")
-    p.add_argument("--days", type=int, required=True, help=f"horizon length in days (2 to {MAX_DOWNTURN_DAYS})")
+    p.add_argument("--days", type=integer, required=True, help=f"horizon length in days (2 to {MAX_DOWNTURN_DAYS})")
     add_format(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_downturns)
 
@@ -115,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("synth", parents=[bounds, output], help="seeded synthetic admissible price CSV")
-    p.add_argument("--months", type=int, default=12, help=f"number of calendar months (1 to {MAX_MONTHS})")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (>= 0)")
+    p.add_argument("--months", type=integer, default=12, help=f"number of calendar months (1 to {MAX_MONTHS})")
+    p.add_argument("--seed", type=integer, default=0, help="RNG seed (>= 0)")
     p.add_argument("--start", type=date.fromisoformat, default=date(1997, 1, 1), help="first day (ISO)")
     p.add_argument("--price", type=price, default=100.0, help="initial price (> 0)")
     p.set_defaults(func=cmd_synth)

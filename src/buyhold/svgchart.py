@@ -1,9 +1,9 @@
 """Minimal dependency-free SVG line charts.
 
 Just enough plotting for ratio curves and backtest summaries: evenly
-spaced x positions, autoscaled y axis, one polyline per series (dashed
-for alternate series), a few ticks, and a legend.  Output is a plain
-deterministic string.
+spaced x positions, autoscaled y axis, one polyline per series (solid
+or dashed), a few ticks, and a legend.  Every series has a value at
+every x position.  Output is a plain deterministic string.
 """
 
 WIDTH = 800
@@ -21,10 +21,10 @@ def _fmt(value: float) -> str:
 def line_chart(x_labels, series, title: str = "", y_label: str = "") -> str:
     """Render ``series`` = [(name, values, dashed), ...] over ``x_labels``.
 
-    Values may contain None for missing points; those are skipped.
+    Each ``values`` holds one number per label.
     """
     x_labels = [str(label) for label in x_labels]
-    points = [v for _, values, _ in series for v in values if v is not None]
+    points = [v for _, values, _ in series for v in values]
     if not x_labels or not points:
         raise ValueError("nothing to plot")
     y_min, y_max = min(points), max(points)
@@ -95,7 +95,7 @@ def line_chart(x_labels, series, title: str = "", y_label: str = "") -> str:
     # Every series shares the x positions, so each is formatted once.
     xs = [_fmt(x_pos(i)) for i in range(len(x_labels))]
     for idx, (name, values, dashed) in enumerate(series):
-        pts = [f"{x},{y_pos(v):.2f}" for x, v in zip(xs, values) if v is not None]
+        pts = [f"{x},{y_pos(v):.2f}" for x, v in zip(xs, values)]
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         out.append(
             f'<polyline fill="none" stroke="black" stroke-width="1.5"{dash} '

@@ -1,4 +1,3 @@
-import io
 from datetime import date, timedelta
 
 import numpy as np
@@ -6,30 +5,30 @@ import pytest
 
 from buyhold import (
     DuplicateDate,
-    LengthMismatch,
     NonPositivePrice,
     ParseError,
     MarketParams,
     PreconditionViolated,
-    PlanWindow,
-    Violation,
     bal_ratio,
-    bal_weights,
     compare_report,
     da_ratio,
-    da_weights,
-    find_violations,
-    load_prices,
     parse_prices,
     report_csv,
     report_json,
     report_svg,
-    run_plan,
     segment_monthly,
-    series_csv,
     synthetic_prices,
 )
-from buyhold.backtest import VIOLATION_SLACK
+from buyhold import backtest
+from buyhold.backtest import (
+    VIOLATION_SLACK,
+    PriceSeries,
+    Violation,
+    find_violations,
+    load_prices,
+    series_csv,
+)
+from buyhold.formatting import decode_utf8
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
@@ -44,14 +43,11 @@ BAD_BOUNDS = [
 ]
 
 
-def balanced(alpha, beta):
-    """The balanced strategy's weights for every window length."""
-    return lambda n: bal_weights(MarketParams(alpha, beta, n))
-
-
-def make_window(label, first_day, closes):
-    days = tuple(date.fromordinal(first_day.toordinal() + i) for i in range(len(closes)))
-    return PlanWindow(label=label, dates=days, closes=np.asarray(closes, dtype=float))
+def one_month(first_day, closes, alpha, beta):
+    """compare_report's BAL and DA results on consecutive days of one month."""
+    days = tuple(first_day + timedelta(days=i) for i in range(len(closes)))
+    (window,) = compare_report(PriceSeries(days, np.asarray(closes, dtype=float)), alpha, beta).windows
+    return dict(window.results)
 
 
 class TestParsing:
@@ -124,8 +120,10 @@ class TestParsing:
         path.write_text(text)
         assert len(load_prices(path)) == 2
         assert len(load_prices(str(path))) == 2
-        assert len(load_prices(text.encode())) == 2
-        assert len(load_prices(io.StringIO(text))) == 2
+
+    def test_parse_prices_reads_decoded_bytes(self):
+        text = "date,close\n1997-01-02,100\n1997-01-03,101\n"
+        assert parse_prices(decode_utf8(text.encode())).dates == parse_prices(text).dates
 
     def test_series_csv_roundtrip(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=2, seed=9)
@@ -158,10 +156,10 @@ class TestSegmentation:
 
 
 class TestRunPlan:
+    """Each month's plans, as compare_report runs them."""
+
     def test_flat_prices(self):
-        window = make_window("1997-01", date(1997, 1, 6), [100.0] * 5)
-        for gen in (balanced(2.0, 2.0), da_weights):
-            result = run_plan(gen, window, 2.0, 2.0)
+        for result in one_month(date(1997, 1, 6), [100.0] * 5, 2.0, 2.0).values():
             assert result.shares == pytest.approx(0.01, rel=1e-12)
             assert result.realized_ratio == pytest.approx(1.0, abs=1e-12)
             assert result.violations == ()
@@ -169,8 +167,7 @@ class TestRunPlan:
     def test_downturn_window_hits_balanced_ratio(self):
         # Prices (0.5, 0.25, 0.5) are rates (2, 4, 2), the worst case
         # the balanced strategy is tuned for when alpha = beta = 2.
-        window = make_window("1997-01", date(1997, 1, 6), [0.5, 0.25, 0.5])
-        result = run_plan(balanced(2.0, 2.0), window, 2.0, 2.0)
+        result = one_month(date(1997, 1, 6), [0.5, 0.25, 0.5], 2.0, 2.0)["BAL"]
         assert result.realized_ratio == pytest.approx(5.0 / 3.0, rel=1e-12)
         assert result.shares == pytest.approx(2.4, rel=1e-12)
         assert result.currency_value == pytest.approx(1.2, rel=1e-12)
@@ -179,30 +176,23 @@ class TestRunPlan:
         # Rates rising by exactly alpha each day are a scaled all-rise
         # downturn, so the balanced strategy lands on its exact bound.
         closes = [100.0 / 2.0**i for i in range(6)]
-        window = make_window("1997-01", date(1997, 1, 5), closes)
-        result = run_plan(balanced(2.0, 2.0), window, 2.0, 2.0)
+        result = one_month(date(1997, 1, 5), closes, 2.0, 2.0)["BAL"]
         assert result.realized_ratio == pytest.approx(
             bal_ratio(MarketParams(2.0, 2.0, 6)), rel=1e-12
         )
         assert result.violations == ()
 
     def test_accounting_identity(self):
-        window = make_window("1997-02", date(1997, 2, 3), [100.0, 103.0, 99.0, 101.0])
-        result = run_plan(da_weights, window, TAIPEI_ALPHA, TAIPEI_BETA)
-        assert result.currency_value / result.shares == pytest.approx(101.0, rel=1e-12)
-
-    def test_length_mismatch(self):
-        window = make_window("1997-01", date(1997, 1, 6), [1.0, 2.0])
-        with pytest.raises(LengthMismatch):
-            run_plan(lambda n: np.ones(n + 1) / (n + 1), window, 2.0, 2.0)
+        closes = [100.0, 103.0, 99.0, 101.0]
+        for result in one_month(date(1997, 2, 3), closes, TAIPEI_ALPHA, TAIPEI_BETA).values():
+            assert result.currency_value / result.shares == pytest.approx(101.0, rel=1e-12)
 
     def test_scale_invariance(self):
-        window = make_window("1997-03", date(1997, 3, 3), [100.0, 104.0, 98.0, 100.0])
-        scaled = make_window("1997-03", window.dates[0], 7.25 * np.asarray(window.closes))
-        for gen in (balanced(TAIPEI_ALPHA, TAIPEI_BETA), da_weights):
-            a = run_plan(gen, window, TAIPEI_ALPHA, TAIPEI_BETA)
-            b = run_plan(gen, scaled, TAIPEI_ALPHA, TAIPEI_BETA)
-            assert abs(a.realized_ratio - b.realized_ratio) <= 1e-10
+        closes = np.array([100.0, 104.0, 98.0, 100.0])
+        plain = one_month(date(1997, 3, 3), closes, TAIPEI_ALPHA, TAIPEI_BETA)
+        scaled = one_month(date(1997, 3, 3), 7.25 * closes, TAIPEI_ALPHA, TAIPEI_BETA)
+        for name in ("BAL", "DA"):
+            assert abs(plain[name].realized_ratio - scaled[name].realized_ratio) <= 1e-10
 
 
 class TestViolations:
@@ -212,8 +202,7 @@ class TestViolations:
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=1, seed=4)
         closes = series.closes.copy()
         closes[10:] *= 0.5
-        window = PlanWindow(label="1997-01", dates=series.dates, closes=closes)
-        violations = find_violations(window.rates, TAIPEI_ALPHA, TAIPEI_BETA)
+        violations = find_violations(1.0 / closes, TAIPEI_ALPHA, TAIPEI_BETA)
         assert len(violations) == 1
         assert violations[0].day == 10
         assert violations[0].factor == pytest.approx(closes[9] / closes[10], rel=1e-12)
@@ -221,9 +210,30 @@ class TestViolations:
         assert violations[0].lo == pytest.approx(1.0 / TAIPEI_BETA, rel=1e-15)
         assert violations[0].hi == pytest.approx(TAIPEI_ALPHA, rel=1e-15)
         # The window is still evaluated.
-        result = run_plan(da_weights, window, TAIPEI_ALPHA, TAIPEI_BETA)
-        assert result.shares > 0.0
-        assert len(result.violations) == 1
+        (window,) = compare_report(PriceSeries(series.dates, closes), TAIPEI_ALPHA, TAIPEI_BETA).windows
+        for _, result in window.results:
+            assert result.shares > 0.0
+            assert result.violations == violations
+
+    def test_both_strategies_carry_the_same_violations(self, monkeypatch):
+        # Halving every seventh close breaks the bounds twice a week.
+        series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=3, seed=5)
+        closes = series.closes.copy()
+        closes[5::7] *= 0.5
+        calls = []
+        scan = backtest.find_violations
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(backtest, "find_violations", counted)
+        report = compare_report(PriceSeries(series.dates, closes), TAIPEI_ALPHA, TAIPEI_BETA)
+        assert len(calls) == len(report.windows) == 3
+        for window in report.windows:
+            (_, bal), (_, da) = window.results
+            assert bal.violations
+            assert bal.violations == da.violations
 
     @staticmethod
     def reference_violations(rates, alpha, beta, slack=VIOLATION_SLACK):

@@ -356,6 +356,14 @@ class TestBacktest:
         for bad in ("-0.5", "nan", "inf"):
             usage_error("backtest", str(prices), "--preset", "taipei", f"--tolerance={bad}")
 
+    def test_svg_without_a_plan_exits_one(self, tmp_path, capsys):
+        # Each month has one trading day, so no month has a plan to plot.
+        path = tmp_path / "sparse.csv"
+        path.write_text("date,close\n2000-01-03,10\n2000-02-03,11\n")
+        code, out, err = run_cli(capsys, "backtest", str(path), "--preset", "taipei", "--format", "svg")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "nothing to plot" in err
+
 
 class TestSynth:
     def test_deterministic_per_seed(self, capsys):
@@ -366,7 +374,7 @@ class TestSynth:
         assert first != other
 
     def test_output_is_loadable(self, tmp_path, capsys):
-        from buyhold import load_prices
+        from buyhold.backtest import load_prices
 
         path = tmp_path / "synth.csv"
         run_cli(capsys, "synth", "--alpha", "2", "--beta", "2", "--months", "1",
@@ -491,6 +499,22 @@ def test_number_flags_read_the_decimal_grammar(flag, argv, value):
     usage_error(*argv, f"{flag}={value}")
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--days", ["weights", "--preset", "taipei"]),
+        ("--from", ["sweep", "--preset", "taipei", "--to", "30"]),
+        ("--to", ["sweep", "--preset", "taipei", "--from", "2"]),
+        ("--months", ["synth", "--preset", "taipei"]),
+        ("--seed", ["synth", "--preset", "taipei", "--months", "1"]),
+    ],
+)
+def test_integer_flags_refuse_underscores_and_non_ascii_digits(flag, argv, value):
+    # int() reads both "1_0" and Arabic-Indic "10" as 10.
+    usage_error(*argv, f"{flag}={value}")
+
+
 def test_unknown_command_is_usage_error():
     usage_error("nonsense")
     usage_error()
@@ -537,11 +561,11 @@ class TestArbitraryInputFiles:
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("arbitrary") / "input.csv"
 
-    @given(data=_PRICE_FILES)
+    @given(data=_PRICE_FILES, fmt=st.sampled_from(["text", "json", "csv", "svg"]))
     @settings(max_examples=50, deadline=None)
-    def test_backtest(self, path, data):
+    def test_backtest(self, path, data, fmt):
         path.write_bytes(data)
-        assert _exit_code("backtest", path, "--preset", "taipei") in (0, 1)
+        assert _exit_code("backtest", path, "--preset", "taipei", "--format", fmt) in (0, 1)
 
     @given(data=_MATRIX_FILES)
     @settings(max_examples=50, deadline=None)

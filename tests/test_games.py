@@ -7,9 +7,7 @@ from buyhold import (
     NonPositiveEntry,
     NumericalFailure,
     PreconditionViolated,
-    as_payoff_matrix,
     check_extreme_point,
-    is_mixed_strategy,
     solve_game,
     solve_game_closed_form,
     solve_game_lp,
@@ -17,6 +15,7 @@ from buyhold import (
     worst_case_columns,
 )
 from buyhold import games
+from buyhold.games import as_payoff_matrix, is_mixed_strategy
 from buyhold.market import MarketParams, payoff_matrix_K
 
 SYM2 = np.array([[1.0, 0.5], [0.5, 1.0]])

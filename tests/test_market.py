@@ -26,9 +26,8 @@ from buyhold import (
     preset_bounds,
     solve_game_closed_form,
     static_ratio_via_downturns,
-    validate_sequence,
 )
-from buyhold.market import CIRCUIT_BREAKERS, _times_kernel, bal_weight_parts
+from buyhold.market import CIRCUIT_BREAKERS, _times_kernel, bal_weight_parts, validate_sequence
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07

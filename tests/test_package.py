@@ -1,6 +1,8 @@
 """The package namespace: lazy names, ``dir`` and star imports."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,18 @@ def test_star_import_binds_all():
     namespace = {}
     exec("from buyhold import *", namespace)
     assert set(buyhold.__all__) <= set(namespace)
+
+
+def test_benchmark_lookups_are_public():
+    # The benchmark looks each program function up on the package, so a
+    # name missing from __all__ would fail every op that uses it.
+    text = (Path(__file__).resolve().parents[1] / "bench" / "workloads.py").read_text(encoding="utf-8")
+    names = set(re.findall(r"\bb\.(\w+)", text))
+    assert '"report_" + spec["format"]' in text
+    formats = ast.literal_eval(re.search(r"^REPORT_FORMATS = (.+)$", text, re.MULTILINE).group(1))
+    names |= {"report_" + fmt for fmt in formats}
+    assert {"compare_report", "parse_prices", "report_svg", "solve_game"} <= names
+    assert sorted(names - set(buyhold.__all__)) == []
 
 
 def test_unknown_name_raises_attribute_error():
