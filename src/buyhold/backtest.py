@@ -6,20 +6,27 @@ realized ratio is scale-invariant).  The balanced allocation (BAL) for
 the month's trading-day count and dollar averaging (DA) each record
 shares accumulated, their currency value at the month's last close and
 the realized competitive ratio.  Both list the month's daily moves that
-violate the configured return bounds, found once per month.  Violations
-are diagnostics: the theory assumes admissible sequences, and real data
-(splits, halts) may break that assumption, so offending windows are
-reported but still evaluated.
+violate the configured return bounds.  Violations are diagnostics: the
+theory assumes admissible sequences, and real data (splits, halts) may
+break that assumption, so offending windows are reported but still
+evaluated.
+
+The work is done in bulk: ``parse_prices`` converts and checks whole
+columns, and ``compare_report`` computes the rates, the daily rate
+factors and the violation mask once over the whole series, and gives
+each month its span of them.
 """
 
 import csv
 import io
 import math
+import operator
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
-from itertools import groupby
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +44,9 @@ class PriceSeries:
     """Date-sorted daily closing prices.
 
     ``reordered`` is True when the input rows were not already sorted.
+    Raises LengthMismatch unless ``closes`` is a vector with one close
+    per date, PreconditionViolated unless the dates strictly increase
+    and NonPositivePrice unless every close is a finite number > 0.
     """
 
     dates: tuple[date, ...]
@@ -44,7 +54,15 @@ class PriceSeries:
     reordered: bool = False
 
     def __post_init__(self):
-        self.closes.flags.writeable = False
+        dates, closes = self.dates, np.asarray(self.closes, dtype=float)
+        object.__setattr__(self, "closes", closes)
+        if closes.shape != (len(dates),):
+            raise LengthMismatch(f"{len(dates)} dates vs closes of shape {closes.shape}")
+        if not all(map(operator.lt, dates, islice(dates, 1, None))):
+            raise PreconditionViolated("dates must strictly increase")
+        if closes.size and not (closes.min() > 0.0 and closes.max() < math.inf):
+            raise NonPositivePrice("every close must be a finite number > 0")
+        closes.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -119,7 +137,40 @@ def parse_prices(text: str) -> PriceSeries:
     are sorted (with a flag) if they arrive out of order, and closes are
     read by ``formatting.parse_decimal``.  Duplicate dates and
     non-positive prices are rejected.
+
+    The columns are converted and checked in bulk.  If any check fails,
+    ``_parse_rows`` reads the text again row by row and raises the error
+    of the first bad row.
     """
+    rows = [row for row in csv.reader(io.StringIO(text.lstrip("﻿"))) if row]
+    if len(rows) < 2 or [cell.strip() for cell in rows[0]] != ["date", "close"]:
+        return _parse_rows(text)
+    del rows[0]
+    if set(map(len, rows)) != {2}:
+        return _parse_rows(text)
+    day_cells, close_cells = zip(*rows)
+    # parse_decimal's guard, applied to every cell at once.
+    joined = "".join(close_cells)
+    if not joined.isascii() or "_" in joined:
+        return _parse_rows(text)
+    try:
+        days = list(map(date.fromisoformat, map(str.strip, day_cells)))
+        closes = np.fromiter(map(float, close_cells), float, len(close_cells))
+    except ValueError:
+        return _parse_rows(text)
+    reordered = not all(map(operator.lt, days, islice(days, 1, None)))
+    if reordered:
+        order = sorted(range(len(days)), key=days.__getitem__)
+        days, closes = [days[k] for k in order], closes[order]
+    try:
+        return PriceSeries(dates=tuple(days), closes=closes, reordered=reordered)
+    except (PreconditionViolated, NonPositivePrice):
+        # A duplicate date, or a close that is not finite and > 0.
+        return _parse_rows(text)
+
+
+def _parse_rows(text: str) -> PriceSeries:
+    """``parse_prices`` one row at a time, raising the error of the first bad row."""
     reader = csv.reader(io.StringIO(text.lstrip("﻿")))
     rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     if not rows:
@@ -165,6 +216,28 @@ def load_prices(path) -> PriceSeries:
         return parse_prices(decode_utf8(handle.read()))
 
 
+def _month_spans(dates) -> list[tuple[str, int, int]]:
+    """``(label, start, stop)`` of each calendar month of sorted ``dates``.
+
+    Rows ``start`` to ``stop - 1`` fall in the month ``label``, written
+    ``YYYY-MM``.  Raises LengthMismatch if ``dates`` is empty.
+    """
+    if not dates:
+        raise LengthMismatch("price series is empty")
+    spans = []
+    start = 0
+    while start < len(dates):
+        year, month = dates[start].year, dates[start].month
+        if (year, month) == (date.max.year, date.max.month):
+            # No date starts the month after December 9999.
+            stop = len(dates)
+        else:
+            stop = bisect_left(dates, date(year + month // 12, month % 12 + 1, 1), start)
+        spans.append((f"{year:04d}-{month:02d}", start, stop))
+        start = stop
+    return spans
+
+
 def segment_monthly(series: PriceSeries):
     """Split a series into calendar-month windows.
 
@@ -172,21 +245,20 @@ def segment_monthly(series: PriceSeries):
     reason)`` for months with a single trading day, on which every
     strategy is forced (a plan needs ``n >= 2``, see MarketParams).
     """
-    if len(series) == 0:
-        raise LengthMismatch("price series is empty")
     windows: list[PlanWindow] = []
     skipped: list[tuple[str, str]] = []
-    start = 0
-    for (year, month), days in groupby(series.dates, key=lambda day: (day.year, day.month)):
-        stop = start + len(list(days))
-        label = f"{year:04d}-{month:02d}"
+    for label, start, stop in _month_spans(series.dates):
         if stop - start >= 2:
             # PriceSeries.closes is read-only, so the window shares it.
             windows.append(PlanWindow(label, series.dates[start:stop], series.closes[start:stop]))
         else:
             skipped.append((label, f"only {stop - start} trading day(s)"))
-        start = stop
     return windows, skipped
+
+
+def _outside(factors: np.ndarray, alpha: float, beta: float, slack: float) -> np.ndarray:
+    """Mask of the rate factors outside ``[1/beta, alpha]`` widened by the relative ``slack``."""
+    return (factors < 1.0 / beta * (1.0 - slack)) | (factors > alpha * (1.0 + slack))
 
 
 def find_violations(rates, alpha: float, beta: float, slack: float = VIOLATION_SLACK):
@@ -197,14 +269,11 @@ def find_violations(rates, alpha: float, beta: float, slack: float = VIOLATION_S
     """
     e = np.asarray(rates, dtype=float).ravel()
     lo, hi = 1.0 / beta, alpha
-    lo_widened, hi_widened = lo * (1.0 - slack), hi * (1.0 + slack)
-    # One division for all steps; comparing the factors as Python floats
-    # beats further numpy calls on windows of a month.
-    factors = (e[1:] / e[:-1]).tolist()
+    factors = e[1:] / e[:-1]
+    flagged = _outside(factors, alpha, beta, slack)
+    days = (np.flatnonzero(flagged) + 1).tolist()
     return tuple(
-        Violation(day=day, factor=factor, lo=lo, hi=hi)
-        for day, factor in enumerate(factors, start=1)
-        if factor < lo_widened or factor > hi_widened
+        Violation(day=day, factor=factor, lo=lo, hi=hi) for day, factor in zip(days, factors[flagged].tolist())
     )
 
 
@@ -219,21 +288,47 @@ def compare_report(
     identical reports.  Shares are the weighted sum of the rates, the
     currency value converts them at the month's last close, and the
     realized ratio compares the best single-day rate with the shares.
+
+    The rates, factors and violations come from one scan of the whole
+    series, and each month's shares from one dot product of its weights
+    with its rates, so every number equals what ``segment_monthly`` and
+    ``find_violations`` give month by month.
     """
     check_bounds(alpha, beta)
     alpha, beta = float(alpha), float(beta)
-    windows, skipped = segment_monthly(series)
-    reports = []
-    for window in windows:
-        n = len(window)
-        rates = window.rates
-        best, last = float(rates.max()), float(window.closes[-1])
-        violations = find_violations(rates, alpha, beta, slack=slack)
+    spans = _month_spans(series.dates)
+    # Elementwise, the whole-series rates and factors are the bits each
+    # month's slice would give.
+    rates = 1.0 / series.closes
+    factors = rates[1:] / rates[:-1]
+    flagged = _outside(factors, alpha, beta, slack)
+    # Step j goes from row j to row j + 1.
+    bad_steps = np.flatnonzero(flagged).tolist()
+    bad_factors = factors[flagged].tolist()
+    starts = [start for _, start, _ in spans]
+    best_rates = np.maximum.reduceat(rates, starts).tolist()
+    last_closes = series.closes[[stop - 1 for _, _, stop in spans]].tolist()
+    lo, hi = 1.0 / beta, alpha
+    plans = {}
+    reports, skipped = [], []
+    for (label, start, stop), best, last in zip(spans, best_rates, last_closes):
+        n = stop - start
+        if n < 2:
+            skipped.append((label, f"only {n} trading day(s)"))
+            continue
+        if n not in plans:
+            plans[n] = (("BAL", bal_weights(MarketParams(alpha, beta, n))), ("DA", da_weights(n)))
+        # The steps inside the month are those from rows start to stop - 1.
+        first, end = bisect_left(bad_steps, start), bisect_left(bad_steps, stop - 1)
+        violations = tuple(
+            Violation(day=bad_steps[k] + 1 - start, factor=bad_factors[k], lo=lo, hi=hi) for k in range(first, end)
+        )
+        window_rates = rates[start:stop]
         results = []
-        for name, weights in (("BAL", bal_weights(MarketParams(alpha, beta, n))), ("DA", da_weights(n))):
-            shares = float(weights @ rates)
+        for name, weights in plans[n]:
+            shares = float(weights @ window_rates)
             results.append((name, PlanResult(shares, shares * last, best / shares, violations)))
-        reports.append(WindowReport(label=window.label, n=n, results=tuple(results)))
+        reports.append(WindowReport(label=label, n=n, results=tuple(results)))
     return BacktestReport(alpha=alpha, beta=beta, windows=tuple(reports), skipped=tuple(skipped))
 
 

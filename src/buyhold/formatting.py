@@ -1,14 +1,15 @@
 """Locale-independent rendering of every number the package prints.
 
 ``render`` turns rows of cells into CSV or aligned text, ``to_json``
-turns a payload into JSON; both give a float 12 significant digits.
+writes a payload as indented JSON in one recursive pass; both give a
+float 12 significant digits.
 ``parse_decimal`` is the one grammar for the numbers the package reads,
 ``decode_utf8`` the one decoding of the files it reads.  No numpy is
 imported here: arrays are recognised by their ``tolist`` method.
 """
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError
 
@@ -74,23 +75,59 @@ def render(rows, fmt: str, widths=()) -> str:
     return "".join(lines)
 
 
-def _rounded(value):
-    """A copy of ``value`` with every float rounded to the digits ``fmt12`` writes."""
+#: How ``json`` spells the floats that have no decimal form.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """``value`` rounded to 12 significant digits, as ``json`` writes the rounded float.
+
+    A ``.12g`` text with a point and no exponent is already the shortest
+    text of the rounded float, so it is that float's ``repr``.  Integral
+    values lose their ``.0`` under ``.12g``, and exponents from 12 to 15
+    are written positionally by ``repr`` only, so those are re-read.
+    """
+    text = float.__format__(value, ".12g")
+    if "." in text and "e" not in text:
+        return text
+    return _JSON_NONFINITE.get(text) or repr(float(text))
+
+
+def _json(value, indent: str) -> str:
     if isinstance(value, float):
-        return float(format(value, ".12g"))
+        return _json_float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {key: _rounded(item) for key, item in value.items()}
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
-        return [_rounded(item) for item in value]
+        if not value:
+            return "[]"
+        items = [_json(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if hasattr(value, "tolist"):
-        return _rounded(value.tolist())
-    return value
+        return _json(value.tolist(), indent)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def to_json(payload) -> str:
     """Indented JSON of ``payload``, every float rounded to 12 significant digits.
 
-    Floats inside dicts, lists, tuples and numpy arrays or scalars are
-    rounded; ints, bools and strings pass through.
+    The layout is ``json.dumps(payload, indent=2)``'s, with a newline at
+    the end.  Dict keys are strings.  Floats inside dicts, lists, tuples
+    and numpy arrays or scalars are rounded as ``fmt12`` rounds them;
+    ints, bools, ``None`` and strings are written as ``json`` writes them.
     """
-    return json.dumps(_rounded(payload), indent=2) + "\n"
+    return _json(payload, "") + "\n"

@@ -59,18 +59,32 @@ def validate_sequence(params: MarketParams, rates, rel_tol: float = ADMISSIBILIT
     return bool(np.all((e >= lo) & (e <= hi)))
 
 
+def _finite_vector(values, name: str) -> np.ndarray:
+    """``values`` as a flat float array; raises ValueError unless every entry is finite."""
+    v = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite numbers")
+    return v
+
+
 def offline_optimum(rates) -> float:
-    """Best possible accumulation: trade everything at the maximum rate."""
-    e = np.asarray(rates, dtype=float).ravel()
+    """Best possible accumulation: trade everything at the maximum rate.
+
+    Raises ValueError if a rate is not finite.
+    """
+    e = _finite_vector(rates, "rates")
     if e.size == 0:
         raise LengthMismatch("rate sequence is empty")
     return float(e.max())
 
 
 def evaluate_static(weights, rates) -> float:
-    """Accumulation of a static strategy: the weighted sum of rates."""
-    a = np.asarray(weights, dtype=float).ravel()
-    e = np.asarray(rates, dtype=float).ravel()
+    """Accumulation of a static strategy: the weighted sum of rates.
+
+    Raises ValueError if a weight or a rate is not finite.
+    """
+    a = _finite_vector(weights, "weights")
+    e = _finite_vector(rates, "rates")
     if a.shape[0] != e.shape[0]:
         raise LengthMismatch(f"{a.shape[0]} weights vs {e.shape[0]} rates")
     return float(a @ e)
@@ -183,6 +197,8 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
     Both take O(n) time and memory at any horizon, including those where
     ``payoff_matrix_K`` would underflow: their terms decay to 0 without
     affecting the larger ones.
+
+    Raises ValueError if a weight is not finite.
     """
     a = np.asarray(weights, dtype=float).ravel()
     if a.shape[0] != params.n:
@@ -194,8 +210,13 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
 
 
 def _times_kernel(a: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """``a @ K`` for the downturn kernel, from its two geometric recurrences."""
+    """``a @ K`` for the downturn kernel, from its two geometric recurrences.
+
+    Raises ValueError if an entry of ``a`` is not finite.
+    """
     values = a.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError("weights must be finite numbers")
     left = list(accumulate(values, lambda s, x: s / alpha + x))
     # ahead[j] = a_j + ahead[j+1]/beta, so R_j = ahead[j+1]/beta and R_{n-1} = 0.
     ahead = list(accumulate(reversed(values), lambda s, x: s / beta + x))[::-1]

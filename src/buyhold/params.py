@@ -32,7 +32,11 @@ CIRCUIT_BREAKERS = {
 def check_bounds(alpha, beta) -> None:
     """Raise ValueError unless ``alpha`` and ``beta`` are finite numbers > 1."""
     for name, value in (("alpha", alpha), ("beta", beta)):
-        if not (value > 1.0 and math.isfinite(value)):
+        try:
+            valid = value > 1.0 and math.isfinite(value)
+        except TypeError:
+            valid = False
+        if not valid:
             raise ValueError(f"{name} must be a finite number > 1, got {value}")
 
 

@@ -1,10 +1,18 @@
+import csv
+import io
+from collections import Counter
 from datetime import date, timedelta
+from itertools import groupby
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buyhold import (
     DuplicateDate,
+    LengthMismatch,
     NonPositivePrice,
     ParseError,
     MarketParams,
@@ -22,13 +30,18 @@ from buyhold import (
 from buyhold import backtest
 from buyhold.backtest import (
     VIOLATION_SLACK,
+    BacktestReport,
+    PlanResult,
+    PlanWindow,
     PriceSeries,
     Violation,
+    WindowReport,
     find_violations,
     load_prices,
     series_csv,
 )
-from buyhold.formatting import decode_utf8
+from buyhold.formatting import decode_utf8, parse_decimal
+from buyhold.market import bal_weights, check_bounds, da_weights
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
@@ -40,7 +53,98 @@ BAD_BOUNDS = [
     (2.0, float("nan")),
     (float("inf"), 2.0),
     (2.0, float("inf")),
+    ("3", TAIPEI_BETA),
+    (TAIPEI_ALPHA, None),
 ]
+
+
+# References: the row-by-row reader, the groupby segmentation and the
+# per-window backtest that the bulk passes in buyhold.backtest replaced.
+
+
+def reference_parse_prices(text: str) -> PriceSeries:
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    if not rows:
+        raise ParseError("empty input", row=1)
+    header_line, header = rows[0]
+    if [cell.strip() for cell in header] != ["date", "close"]:
+        raise ParseError("header must be exactly 'date,close'", row=header_line)
+    if len(rows) == 1:
+        raise ParseError("no data rows", row=header_line)
+
+    parsed: list[tuple[date, float]] = []
+    seen: set[date] = set()
+    for lineno, row in rows[1:]:
+        if len(row) != 2:
+            raise ParseError(f"expected 2 fields, got {len(row)}", row=lineno)
+        try:
+            day = date.fromisoformat(row[0].strip())
+        except ValueError as exc:
+            raise ParseError(f"bad date: {exc}", row=lineno, column=1) from None
+        try:
+            close = parse_decimal(row[1])
+        except ValueError:
+            raise ParseError(f"bad price {row[1]!r}", row=lineno, column=2) from None
+        if close <= 0.0:
+            raise NonPositivePrice(f"price {close:g} must be positive", row=lineno, column=2)
+        if day in seen:
+            raise DuplicateDate(f"duplicate date {day.isoformat()}", row=lineno, column=1)
+        seen.add(day)
+        parsed.append((day, close))
+
+    ordered = sorted(parsed)
+    reordered = ordered != parsed
+    return PriceSeries(
+        dates=tuple(day for day, _ in ordered),
+        closes=np.array([close for _, close in ordered]),
+        reordered=reordered,
+    )
+
+
+def reference_segment_monthly(series):
+    if len(series) == 0:
+        raise LengthMismatch("price series is empty")
+    windows, skipped = [], []
+    start = 0
+    for (year, month), days in groupby(series.dates, key=lambda day: (day.year, day.month)):
+        stop = start + len(list(days))
+        label = f"{year:04d}-{month:02d}"
+        if stop - start >= 2:
+            windows.append(PlanWindow(label, series.dates[start:stop], series.closes[start:stop]))
+        else:
+            skipped.append((label, f"only {stop - start} trading day(s)"))
+        start = stop
+    return windows, skipped
+
+
+def reference_violations(rates, alpha, beta, slack=VIOLATION_SLACK):
+    # The day-by-day loop find_violations replaced.
+    lo, hi = 1.0 / beta, alpha
+    out = []
+    for i in range(1, len(rates)):
+        factor = rates[i] / rates[i - 1]
+        if factor < lo * (1.0 - slack) or factor > hi * (1.0 + slack):
+            out.append(Violation(day=i, factor=float(factor), lo=lo, hi=hi))
+    return tuple(out)
+
+
+def reference_compare_report(series, alpha, beta, slack=VIOLATION_SLACK):
+    check_bounds(alpha, beta)
+    alpha, beta = float(alpha), float(beta)
+    windows, skipped = reference_segment_monthly(series)
+    reports = []
+    for window in windows:
+        n = len(window)
+        rates = window.rates
+        best, last = float(rates.max()), float(window.closes[-1])
+        violations = reference_violations(rates, alpha, beta, slack=slack)
+        results = []
+        for name, weights in (("BAL", bal_weights(MarketParams(alpha, beta, n))), ("DA", da_weights(n))):
+            shares = float(weights @ rates)
+            results.append((name, PlanResult(shares, shares * last, best / shares, violations)))
+        reports.append(WindowReport(label=window.label, n=n, results=tuple(results)))
+    return BacktestReport(alpha=alpha, beta=beta, windows=tuple(reports), skipped=tuple(skipped))
 
 
 def one_month(first_day, closes, alpha, beta):
@@ -215,36 +319,20 @@ class TestViolations:
             assert result.shares > 0.0
             assert result.violations == violations
 
-    def test_both_strategies_carry_the_same_violations(self, monkeypatch):
+    def test_both_strategies_carry_the_same_violations(self):
         # Halving every seventh close breaks the bounds twice a week.
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=3, seed=5)
         closes = series.closes.copy()
         closes[5::7] *= 0.5
-        calls = []
-        scan = backtest.find_violations
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return scan(*args, **kwargs)
-
-        monkeypatch.setattr(backtest, "find_violations", counted)
-        report = compare_report(PriceSeries(series.dates, closes), TAIPEI_ALPHA, TAIPEI_BETA)
-        assert len(calls) == len(report.windows) == 3
-        for window in report.windows:
+        dirty = PriceSeries(series.dates, closes)
+        report = compare_report(dirty, TAIPEI_ALPHA, TAIPEI_BETA)
+        windows, _ = segment_monthly(dirty)
+        assert len(report.windows) == len(windows) == 3
+        for window, plan in zip(report.windows, windows):
             (_, bal), (_, da) = window.results
             assert bal.violations
-            assert bal.violations == da.violations
-
-    @staticmethod
-    def reference_violations(rates, alpha, beta, slack=VIOLATION_SLACK):
-        # The day-by-day loop find_violations replaced.
-        lo, hi = 1.0 / beta, alpha
-        out = []
-        for i in range(1, len(rates)):
-            factor = rates[i] / rates[i - 1]
-            if factor < lo * (1.0 - slack) or factor > hi * (1.0 + slack):
-                out.append(Violation(day=i, factor=float(factor), lo=lo, hi=hi))
-        return tuple(out)
+            assert bal.violations is da.violations
+            assert bal.violations == find_violations(plan.rates, TAIPEI_ALPHA, TAIPEI_BETA)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_daily_loop_on_dense_series(self, seed):
@@ -256,7 +344,7 @@ class TestViolations:
         n = int(rng.integers(2, 300))
         rates = np.exp(np.cumsum(rng.uniform(-limit, limit, size=n))) * rng.uniform(1e-3, 0.1)
         for slack in (0.0, VIOLATION_SLACK, 0.05):
-            want = self.reference_violations(rates, alpha, beta, slack)
+            want = reference_violations(rates, alpha, beta, slack)
             got = find_violations(rates, alpha, beta, slack=slack)
             assert got == want
             assert [type(v.day) for v in got] == [int] * len(got)
@@ -399,3 +487,131 @@ class TestSynthetic:
         factors = rates[1:] / rates[:-1]
         assert factors.min() >= 1.0 / TAIPEI_BETA - 1e-12
         assert factors.max() <= TAIPEI_ALPHA + 1e-12
+
+
+class TestPriceSeries:
+    DAYS = (date(2000, 1, 3), date(2000, 1, 4), date(2000, 1, 5))
+
+    def test_one_close_per_date(self):
+        with pytest.raises(LengthMismatch):
+            PriceSeries(self.DAYS, np.array([1.0, 2.0]))
+        with pytest.raises(LengthMismatch):
+            PriceSeries(self.DAYS, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [-2.0, 0.0, float("nan"), float("inf")])
+    def test_closes_are_finite_and_positive(self, bad):
+        with pytest.raises(NonPositivePrice):
+            PriceSeries(self.DAYS[:2], np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("order", [(1, 0, 2), (0, 0, 2), (0, 2, 2)])
+    def test_dates_strictly_increase(self, order):
+        with pytest.raises(PreconditionViolated):
+            PriceSeries(tuple(self.DAYS[k] for k in order), np.array([1.0, 2.0, 3.0]))
+
+    def test_empty_series_has_no_month(self):
+        with pytest.raises(LengthMismatch):
+            compare_report(PriceSeries((), np.array([])), TAIPEI_ALPHA, TAIPEI_BETA)
+
+
+def _dated_rows(draw, n, start, gaps):
+    """``n`` strictly increasing dates from ``start`` with gaps drawn from ``gaps``, cut at date.max."""
+    days = [start]
+    for gap in draw(st.lists(gaps, min_size=n - 1, max_size=n - 1)):
+        if (date.max - days[-1]).days < gap:
+            break
+        days.append(days[-1] + timedelta(days=gap))
+    return days
+
+
+_BAD_DATES = ["2000-13-01", "2001-02-29", "not-a-date", "", "2000/01/03", "٢000-01-03"]
+_BAD_CLOSES = ["1_0", "١", "0x10", "inf", "-inf", "nan", "1e999", "", "1e", "abc", " 1", "1.2.3"]
+
+
+@st.composite
+def _price_texts(draw):
+    """A date,close file, maybe shuffled and with one defect, in one of the layouts csv reads."""
+    n = draw(st.integers(1, 30))
+    start = draw(st.dates(min_value=date(1990, 1, 1), max_value=date(2030, 12, 31)))
+    days = _dated_rows(draw, n, start, st.integers(1, 40))
+    closes = draw(st.lists(st.floats(1e-3, 1e6), min_size=len(days), max_size=len(days)))
+    rows = [[day.isoformat(), repr(close)] for day, close in zip(days, closes)]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    k = draw(st.integers(0, len(rows) - 1))
+    defect = draw(st.sampled_from([None, None, "date", "close", "zero", "negative", "duplicate", "fields"]))
+    if defect == "date":
+        rows[k][0] = draw(st.sampled_from(_BAD_DATES))
+    elif defect == "close":
+        rows[k][1] = draw(st.sampled_from(_BAD_CLOSES))
+    elif defect == "zero":
+        rows[k][1] = draw(st.sampled_from(["0", "0.0", "-0", "0e5"]))
+    elif defect == "negative":
+        rows[k][1] = "-" + rows[k][1]
+    elif defect == "duplicate":
+        rows[k][0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+    elif defect == "fields":
+        rows[k].append(draw(st.sampled_from(["x", ""])))
+    quoted, padded = draw(st.booleans()), draw(st.booleans())
+    lines = ["date,close"]
+    for row in rows:
+        cells = [f'"{cell}"' if quoted else f" {cell} " if padded else cell for cell in row]
+        lines.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return ("﻿" if draw(st.booleans()) else "") + text
+
+
+def _parse_outcome(parse, text):
+    try:
+        series = parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.row, exc.column
+    return series.dates, series.closes.tolist(), series.reordered
+
+
+@st.composite
+def _series(draw):
+    """A price series with one-day months, gaps of years and dates up to December 9999."""
+    n = draw(st.integers(1, 40))
+    start = draw(st.one_of(st.dates(date(1990, 1, 1), date(2030, 12, 31)), st.dates(date(9999, 9, 1))))
+    gaps = st.one_of(st.integers(1, 3), st.integers(20, 40), st.integers(365, 3000))
+    days = _dated_rows(draw, n, start, gaps)
+    factors = draw(st.lists(st.floats(0.5, 2.0), min_size=len(days) - 1, max_size=len(days) - 1))
+    closes = [draw(st.floats(1e-3, 1e6))]
+    for factor in factors:
+        closes.append(closes[-1] * factor)
+    return PriceSeries(tuple(days), np.array(closes))
+
+
+class TestBulkMatchesReference:
+    def test_parse_prices(self):
+        texts = Counter()
+
+        @given(text=_price_texts())
+        @settings(max_examples=150, deadline=None)
+        def check(text):
+            texts["all"] += 1
+            assert _parse_outcome(parse_prices, text) == _parse_outcome(reference_parse_prices, text)
+
+        with mock.patch.object(backtest, "_parse_rows", wraps=backtest._parse_rows) as row_reader:
+            check()
+        # Both the bulk path and the row reader it falls back to were taken.
+        assert 0 < row_reader.call_count < texts["all"]
+
+    @given(
+        series=_series(),
+        bounds=st.sampled_from([(TAIPEI_ALPHA, TAIPEI_BETA), (1 / 0.95, 1.30), (2, 2), (1.5, 1.01)]),
+        slack=st.sampled_from([0.0, VIOLATION_SLACK, 0.05]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_compare_report(self, series, bounds, slack):
+        want = reference_compare_report(series, *bounds, slack)
+        assert repr(compare_report(series, *bounds, slack)) == repr(want)
+        windows, skipped = segment_monthly(series)
+        ref_windows, ref_skipped = reference_segment_monthly(series)
+        assert skipped == ref_skipped
+        assert [(w.label, w.dates, w.closes.tolist()) for w in windows] == [
+            (w.label, w.dates, w.closes.tolist()) for w in ref_windows
+        ]

@@ -73,6 +73,13 @@ class TestMarketParams:
             with pytest.raises(ValueError):
                 MarketParams(alpha, beta, 3)
 
+    @pytest.mark.parametrize("bad", ["3", None, [2.0], 2j])
+    def test_rejects_bounds_that_are_not_numbers(self, bad):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            MarketParams(bad, 2.0, 3)
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            MarketParams(2.0, bad, 3)
+
     def test_rejects_short_or_fractional_horizon(self):
         with pytest.raises(ValueError):
             MarketParams(2.0, 2.0, 1)
@@ -185,6 +192,15 @@ class TestSequences:
         assert evaluate_static([0.5, 0.5], [1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(LengthMismatch):
             evaluate_static([1.0], rates)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            offline_optimum([bad, 1.0])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            evaluate_static([bad, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="rates must be finite"):
+            evaluate_static([0.5, 0.5], [1.0, bad])
 
 
 class TestDownturns:
@@ -459,6 +475,12 @@ class TestStaticRatio:
     def test_length_checked(self):
         with pytest.raises(LengthMismatch):
             static_ratio_via_downturns([1.0], MarketParams(2.0, 2.0, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        for weights in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                static_ratio_via_downturns(weights, MarketParams(2.0, 2.0, 2))
 
     def test_nothing_accumulated_raises(self):
         with pytest.raises(ZeroDivisionError):
