@@ -46,7 +46,8 @@ class PriceSeries:
     ``reordered`` is True when the input rows were not already sorted.
     Raises LengthMismatch unless ``closes`` is a vector with one close
     per date, PreconditionViolated unless the dates strictly increase
-    and NonPositivePrice unless every close is a finite number > 0.
+    and NonPositivePrice unless every close is a finite number in the
+    normal float range above 0, so that every rate ``1/close`` is finite.
     """
 
     dates: tuple[date, ...]
@@ -60,8 +61,8 @@ class PriceSeries:
             raise LengthMismatch(f"{len(dates)} dates vs closes of shape {closes.shape}")
         if not all(map(operator.lt, dates, islice(dates, 1, None))):
             raise PreconditionViolated("dates must strictly increase")
-        if closes.size and not (closes.min() > 0.0 and closes.max() < math.inf):
-            raise NonPositivePrice("every close must be a finite number > 0")
+        if closes.size and not (closes.min() >= sys.float_info.min and closes.max() < math.inf):
+            raise NonPositivePrice("every close must be a finite number > 0 in the normal float range")
         closes.flags.writeable = False
 
     def __len__(self) -> int:
@@ -142,7 +143,10 @@ def parse_prices(text: str) -> PriceSeries:
     ``_parse_rows`` reads the text again row by row and raises the error
     of the first bad row.
     """
-    rows = [row for row in csv.reader(io.StringIO(text.lstrip("﻿"))) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text.lstrip("﻿"))) if row]
+    except csv.Error:
+        return _parse_rows(text)
     if len(rows) < 2 or [cell.strip() for cell in rows[0]] != ["date", "close"]:
         return _parse_rows(text)
     del rows[0]
@@ -165,14 +169,18 @@ def parse_prices(text: str) -> PriceSeries:
     try:
         return PriceSeries(dates=tuple(days), closes=closes, reordered=reordered)
     except (PreconditionViolated, NonPositivePrice):
-        # A duplicate date, or a close that is not finite and > 0.
+        # A duplicate date, or a close out of range.
         return _parse_rows(text)
 
 
 def _parse_rows(text: str) -> PriceSeries:
     """``parse_prices`` one row at a time, raising the error of the first bad row."""
     reader = csv.reader(io.StringIO(text.lstrip("﻿")))
-    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    try:
+        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    except csv.Error as exc:
+        # A carriage return inside a line, or a field past csv.field_size_limit.
+        raise ParseError(f"unreadable CSV: {exc}", row=reader.line_num) from None
     if not rows:
         raise ParseError("empty input", row=1)
     header_line, header = rows[0]
@@ -196,6 +204,8 @@ def _parse_rows(text: str) -> PriceSeries:
             raise ParseError(f"bad price {row[1]!r}", row=lineno, column=2) from None
         if close <= 0.0:
             raise NonPositivePrice(f"price {close:g} must be positive", row=lineno, column=2)
+        if close < sys.float_info.min:
+            raise NonPositivePrice(f"price {close:g} is below the normal float range", row=lineno, column=2)
         if day in seen:
             raise DuplicateDate(f"duplicate date {day.isoformat()}", row=lineno, column=1)
         seen.add(day)
@@ -300,7 +310,9 @@ def compare_report(
     # Elementwise, the whole-series rates and factors are the bits each
     # month's slice would give.
     rates = 1.0 / series.closes
-    factors = rates[1:] / rates[:-1]
+    # A step past the float range is inf, which the mask flags like any other.
+    with np.errstate(over="ignore"):
+        factors = rates[1:] / rates[:-1]
     flagged = _outside(factors, alpha, beta, slack)
     # Step j goes from row j to row j + 1.
     bad_steps = np.flatnonzero(flagged).tolist()

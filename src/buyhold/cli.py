@@ -174,18 +174,23 @@ def cmd_weights(args, parser) -> str:
 
 def read_matrix_csv(text: str) -> "np.ndarray":
     """Rows of ``formatting.parse_decimal`` cells as a matrix; solve_game checks the entries."""
+    reader = csv.reader(io.StringIO(text))
     rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row:
-            continue
-        try:
-            rows.append([parse_decimal(cell) for cell in row])
-        except ValueError as exc:
-            raise ParseError(f"bad matrix entry: {exc}", row=lineno) from None
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-            raise ParseError(
-                f"row has {len(rows[-1])} entries, expected {len(rows[0])}", row=lineno
-            )
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            try:
+                rows.append([parse_decimal(cell) for cell in row])
+            except ValueError as exc:
+                raise ParseError(f"bad matrix entry: {exc}", row=lineno) from None
+            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+                raise ParseError(
+                    f"row has {len(rows[-1])} entries, expected {len(rows[0])}", row=lineno
+                )
+    except csv.Error as exc:
+        # A carriage return inside a line, or a field past csv.field_size_limit.
+        raise ParseError(f"unreadable CSV: {exc}", row=reader.line_num) from None
     if not rows:
         raise ParseError("no matrix rows", row=1)
     import numpy as np

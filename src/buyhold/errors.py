@@ -43,7 +43,7 @@ class ParseError(BuyholdError):
 
 
 class NonPositivePrice(ParseError):
-    """A price is zero or negative."""
+    """A price is zero, negative, not finite or below the normal float range."""
 
 
 class DuplicateDate(ParseError):

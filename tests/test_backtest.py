@@ -195,6 +195,17 @@ class TestParsing:
         assert (err.value.row, err.value.column) == (2, 2)
 
     @pytest.mark.parametrize(
+        "text, row",
+        [("date,close\r1997-01-02,1\r1997-01-03,2\r", 1), ("date,close\n1997-01-02,1" + "0" * 200_000 + "\n", 2)],
+        ids=["bare-carriage-return", "field-past-size-limit"],
+    )
+    def test_unreadable_csv(self, text, row):
+        # A bare carriage return, and a field past csv.field_size_limit.
+        with pytest.raises(ParseError, match="unreadable CSV") as err:
+            parse_prices(text)
+        assert err.value.row == row
+
+    @pytest.mark.parametrize(
         "close, value",
         [("1e-05", 1e-05), ("1.5e+20", 1.5e20), (" 100.0 ", 100.0), ("7", 7.0), (".5", 0.5), ("5.", 5.0)],
     )
@@ -206,6 +217,12 @@ class TestParsing:
             parse_prices("date,close\n1997-01-02,0\n")
         with pytest.raises(NonPositivePrice):
             parse_prices("date,close\n1997-01-02,-5\n")
+
+    def test_subnormal_price(self):
+        # Its rate, 1/close, would overflow.
+        with pytest.raises(NonPositivePrice, match="normal float range") as err:
+            parse_prices("date,close\n1997-01-02,100\n1997-01-03,1e-320\n")
+        assert (err.value.row, err.value.column) == (3, 2)
 
     def test_duplicate_date(self):
         with pytest.raises(DuplicateDate):
@@ -349,6 +366,16 @@ class TestViolations:
             assert got == want
             assert [type(v.day) for v in got] == [int] * len(got)
         assert len(find_violations(rates, alpha, beta)) > n // 8
+
+    def test_step_past_the_float_range(self):
+        # The rate factor 1e320 overflows to inf; inside a month it is a
+        # violation, across months it is not reported.  No warning either way.
+        days = tuple(date(2000, month, day) for month in (1, 2, 3) for day in (3, 4))
+        closes = np.array([1e120, 1e-200, 1e120, 1e120, 1e-200, 1e-200])
+        report = compare_report(PriceSeries(days, closes), 2.0, 2.0)
+        january, february, march = (dict(window.results)["BAL"] for window in report.windows)
+        assert january.violations == (Violation(day=1, factor=float("inf"), lo=0.5, hi=2.0),)
+        assert february.violations == march.violations == ()
 
     def test_admissible_series_has_none(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=3, seed=11)
@@ -498,7 +525,7 @@ class TestPriceSeries:
         with pytest.raises(LengthMismatch):
             PriceSeries(self.DAYS, np.ones((3, 1)))
 
-    @pytest.mark.parametrize("bad", [-2.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [-2.0, 0.0, 1e-320, float("nan"), float("inf")])
     def test_closes_are_finite_and_positive(self, bad):
         with pytest.raises(NonPositivePrice):
             PriceSeries(self.DAYS[:2], np.array([1.0, bad]))

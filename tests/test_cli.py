@@ -134,6 +134,12 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", str(path))
         assert (code, out) == (1, "") and err.startswith("error: not UTF-8 text") and "row 1" in err
 
+    def test_unreadable_csv_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\r2,1\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (1, "") and err.startswith("error: unreadable CSV") and "row 1" in err
+
     def test_matrix_cell_grammar(self):
         with pytest.raises(ParseError):
             read_matrix_csv("1_0,2\n\u0663,4\n")
@@ -344,6 +350,12 @@ class TestBacktest:
         path.write_bytes(b"date,close\n1997-01-02,10\n1997-01-03,\xff\n")
         code, out, err = run_cli(capsys, "backtest", str(path), "--preset", "taipei")
         assert (code, out) == (1, "") and err.startswith("error: not UTF-8 text") and "row 3" in err
+
+    def test_unreadable_csv_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"date,close\n1997-01-02,10\r1997-01-03,11\n")
+        code, out, err = run_cli(capsys, "backtest", str(path), "--preset", "taipei")
+        assert (code, out) == (1, "") and err.startswith("error: unreadable CSV") and "row 2" in err
 
     def test_svg(self, prices, capsys):
         code, out, _ = run_cli(
