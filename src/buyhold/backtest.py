@@ -55,30 +55,39 @@ class PriceSeries:
     reordered: bool = False
 
     def __post_init__(self):
-        dates, closes = self.dates, np.asarray(self.closes, dtype=float)
-        object.__setattr__(self, "closes", closes)
-        if closes.shape != (len(dates),):
-            raise LengthMismatch(f"{len(dates)} dates vs closes of shape {closes.shape}")
-        if not all(map(operator.lt, dates, islice(dates, 1, None))):
-            raise PreconditionViolated("dates must strictly increase")
-        if closes.size and not (closes.min() >= sys.float_info.min and closes.max() < math.inf):
-            raise NonPositivePrice("every close must be a finite number > 0 in the normal float range")
-        closes.flags.writeable = False
+        object.__setattr__(self, "closes", _checked_closes(self.dates, self.closes))
 
     def __len__(self) -> int:
         return len(self.dates)
 
 
+def _checked_closes(dates, closes) -> np.ndarray:
+    """``closes`` as a read-only float vector, after the checks PriceSeries documents."""
+    closes = np.asarray(closes, dtype=float)
+    if closes.shape != (len(dates),):
+        raise LengthMismatch(f"{len(dates)} dates vs closes of shape {closes.shape}")
+    if not all(map(operator.lt, dates, islice(dates, 1, None))):
+        raise PreconditionViolated("dates must strictly increase")
+    if closes.size and not (closes.min() >= sys.float_info.min and closes.max() < math.inf):
+        raise NonPositivePrice("every close must be a finite number > 0 in the normal float range")
+    closes.flags.writeable = False
+    return closes
+
+
 @dataclass(frozen=True)
 class PlanWindow:
-    """A contiguous one-month slice of a price series."""
+    """A contiguous one-month slice of a price series.
+
+    Checked as a PriceSeries is: LengthMismatch, PreconditionViolated
+    and NonPositivePrice for the same faults.
+    """
 
     label: str
     dates: tuple[date, ...]
     closes: np.ndarray
 
     def __post_init__(self):
-        self.closes.flags.writeable = False
+        object.__setattr__(self, "closes", _checked_closes(self.dates, self.closes))
 
     def __len__(self) -> int:
         return len(self.dates)

@@ -239,12 +239,14 @@ def worst_case_columns(H, x) -> set[int]:
     These index the adversary's worst-case pure strategies against the
     mixed row strategy ``x / sum(x)``.  All minimizers within
     ``TIE_TOL`` are returned, since an equalizing strategy ties on
-    every column.
+    every column.  Raises ValueError if an entry of ``x`` is not finite.
     """
     H = as_payoff_matrix(H)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != H.shape[0]:
         raise DimensionMismatch(f"x has length {x.shape[0]}, matrix has {H.shape[0]} rows")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite numbers")
     if np.any(x < 0.0) or not np.any(x > 0.0):
         raise PreconditionViolated("x must be nonnegative and nonzero")
     against = x @ H

@@ -198,11 +198,14 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
     ``payoff_matrix_K`` would underflow: their terms decay to 0 without
     affecting the larger ones.
 
-    Raises ValueError if a weight is not finite.
+    Raises ValueError if a weight is not finite or is negative.
     """
     a = np.asarray(weights, dtype=float).ravel()
     if a.shape[0] != params.n:
         raise LengthMismatch(f"{a.shape[0]} weights for an n = {params.n} horizon")
+    a = _finite_vector(a, "weights")
+    if a.min() < 0.0:
+        raise ValueError(f"weights must be nonnegative, got {a.min():g}")
     worst = float(_times_kernel(a, float(params.alpha), float(params.beta)).min())
     if worst <= 0.0:
         raise ZeroDivisionError("strategy accumulates nothing on a downturn")
@@ -210,13 +213,8 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
 
 
 def _times_kernel(a: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """``a @ K`` for the downturn kernel, from its two geometric recurrences.
-
-    Raises ValueError if an entry of ``a`` is not finite.
-    """
+    """``a @ K`` for the downturn kernel, from its two geometric recurrences."""
     values = a.tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValueError("weights must be finite numbers")
     left = list(accumulate(values, lambda s, x: s / alpha + x))
     # ahead[j] = a_j + ahead[j+1]/beta, so R_j = ahead[j+1]/beta and R_{n-1} = 0.
     ahead = list(accumulate(reversed(values), lambda s, x: s / beta + x))[::-1]

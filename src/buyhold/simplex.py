@@ -16,6 +16,15 @@ solutions.  Pivot selection follows Bland's rule (lowest eligible
 column enters; ratio-test ties broken by the lowest basic variable
 index), which excludes cycling, so the iteration cap is a pure safety
 net.  No attempt is made at sparsity or scaling.
+
+Each pivot runs in place on buffers allocated once per solve: the
+entering column is the first ``True`` of one comparison, the ratio test
+divides only the blocking rows into an inf-filled buffer, the basis is
+consulted only when the ratio test ties, and the update writes
+``outer(factors, pivot row)`` into one scratch matrix and subtracts it
+from the tableau.  These are the elementwise IEEE operations of the
+textbook pivot on the same operands, with no BLAS call, so the pivot
+path and every bit of the result are those of ``T -= np.outer(...)``.
 """
 
 import numpy as np
@@ -56,31 +65,42 @@ def solve_packing(H):
     return x, np.maximum(y[:n], 0.0), float(T[-1, -1])
 
 
-def _pivot(T, row, col):
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-
-
 def _pivot_until_optimal(T, basis, max_iter):
     m = T.shape[0] - 1
+    cost, rhs, columns = T[-1, :-1], T[:m, -1], T.T
+    entering = np.empty(cost.shape, dtype=bool)
+    blocking = np.empty(m, dtype=bool)
+    ties = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    factors = np.empty(m + 1)
+    factors_column = factors[:, None]
+    update = np.empty_like(T)
     for _ in range(max_iter):
-        negative = np.flatnonzero(T[-1, :-1] < -FEASIBILITY_TOL)
-        if negative.size == 0:
+        # Bland: the lowest eligible column enters.
+        enter = int(np.less(cost, -FEASIBILITY_TOL, out=entering).argmax())
+        if not entering[enter]:
             return
-        enter = int(negative[0])  # Bland: lowest eligible index
-        col = T[:m, enter]
-        blocking = col > FEASIBILITY_TOL
-        if not blocking.any():
+        col = columns[enter, :m]
+        np.greater(col, FEASIBILITY_TOL, out=blocking)
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=blocking)
+        # The first minimum is the leaving row unless another row ties with it.
+        leave = int(ratios.argmin())
+        rmin = ratios[leave]
+        if rmin == np.inf and not blocking.any():
             raise NumericalFailure(f"entering column {enter} has no blocking row")
-        ratios = np.full(m, np.inf)
-        ratios[blocking] = T[:m, -1][blocking] / col[blocking]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + FEASIBILITY_TOL * (1.0 + abs(rmin)))
-        leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
-        _pivot(T, leave, enter)
+        np.less_equal(ratios, rmin + FEASIBILITY_TOL * (1.0 + abs(rmin)), out=ties)
+        if np.count_nonzero(ties) != 1:
+            tied = np.flatnonzero(ties)
+            leave = int(tied[np.argmin(basis[tied])])  # Bland tie-break
+        # Pivot on (leave, enter): T -= outer(factors, prow), in place.
+        prow = T[leave]
+        prow /= prow[enter]
+        np.copyto(factors, columns[enter])
+        factors[leave] = 0.0
+        np.multiply(factors_column, prow, out=update)
+        np.subtract(T, update, out=T)
+        columns[enter] = 0.0
+        prow[enter] = 1.0
         basis[leave] = enter
     raise NumericalFailure(f"simplex did not terminate within {max_iter} pivots")

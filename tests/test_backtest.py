@@ -540,6 +540,32 @@ class TestPriceSeries:
             compare_report(PriceSeries((), np.array([])), TAIPEI_ALPHA, TAIPEI_BETA)
 
 
+class TestPlanWindow:
+    DAYS = TestPriceSeries.DAYS
+
+    def test_one_close_per_date(self):
+        with pytest.raises(LengthMismatch):
+            PlanWindow("x", self.DAYS[:1], np.array([1.0, 2.0]))
+        with pytest.raises(LengthMismatch):
+            PlanWindow("x", self.DAYS, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [-2.0, 0.0, 1e-320, float("nan"), float("inf")])
+    def test_closes_are_finite_and_positive(self, bad):
+        with pytest.raises(NonPositivePrice):
+            PlanWindow("x", self.DAYS[:2], np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("order", [(1, 0, 2), (0, 0, 2), (0, 2, 2)])
+    def test_dates_strictly_increase(self, order):
+        with pytest.raises(PreconditionViolated):
+            PlanWindow("x", tuple(self.DAYS[k] for k in order), np.array([1.0, 2.0, 3.0]))
+
+    def test_closes_become_a_read_only_float_vector(self):
+        window = PlanWindow("x", self.DAYS[:2], [1, 2])
+        assert window.closes.dtype == float
+        assert not window.closes.flags.writeable
+        assert window.rates.tolist() == [1.0, 0.5]
+
+
 def _dated_rows(draw, n, start, gaps):
     """``n`` strictly increasing dates from ``start`` with gaps drawn from ``gaps``, cut at date.max."""
     days = [start]

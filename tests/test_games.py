@@ -112,6 +112,13 @@ def test_worst_case_columns():
         worst_case_columns(K3, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_worst_case_columns_rejects_non_finite_x(bad):
+    for x in ([bad, 1.0], [1.0, bad]):
+        with pytest.raises(ValueError, match="x must be finite"):
+            worst_case_columns([[1.0, 2.0], [2.0, 1.0]], x)
+
+
 def test_check_extreme_point():
     K2 = payoff_matrix_K(MarketParams(2.0, 2.0, 2))
     x = np.array([2.0 / 3.0, 2.0 / 3.0])

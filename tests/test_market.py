@@ -482,6 +482,11 @@ class TestStaticRatio:
             with pytest.raises(ValueError, match="weights must be finite"):
                 static_ratio_via_downturns(weights, MarketParams(2.0, 2.0, 2))
 
+    @pytest.mark.parametrize("weights", [[-1.0, 1.0], [1.0, -1e-300], [2.0, -1.0]])
+    def test_negative_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            static_ratio_via_downturns(weights, MarketParams(2.0, 2.0, 2))
+
     def test_nothing_accumulated_raises(self):
         with pytest.raises(ZeroDivisionError):
             static_ratio_via_downturns([0.0, 0.0, 0.0], MarketParams(2.0, 2.0, 3))
