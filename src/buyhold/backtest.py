@@ -27,12 +27,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import islice
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError, PreconditionViolated
 from .formatting import decode_utf8, parse_decimal, render, to_json
-from .market import MarketParams, bal_weights, check_bounds, da_weights
+from .market import bal_weights, da_weights
+from .params import MarketParams, check_bounds, check_slack
 from .svgchart import line_chart
 
 #: Default relative slack when flagging daily bound violations.
@@ -148,59 +150,51 @@ def parse_prices(text: str) -> PriceSeries:
     read by ``formatting.parse_decimal``.  Duplicate dates and
     non-positive prices are rejected.
 
-    The columns are converted and checked in bulk.  If any check fails,
-    ``_parse_rows`` reads the text again row by row and raises the error
-    of the first bad row.
+    ``csv.reader`` tokenizes the text once, and the columns are then
+    converted and checked in bulk.  If any check fails, ``_parse_rows``
+    goes through the same records one by one and raises the error of the
+    first bad row.
     """
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
     try:
-        rows = [row for row in csv.reader(io.StringIO(text.lstrip("﻿"))) if row]
-    except csv.Error:
-        return _parse_rows(text)
-    if len(rows) < 2 or [cell.strip() for cell in rows[0]] != ["date", "close"]:
-        return _parse_rows(text)
-    del rows[0]
-    if set(map(len, rows)) != {2}:
-        return _parse_rows(text)
-    day_cells, close_cells = zip(*rows)
-    # parse_decimal's guard, applied to every cell at once.
-    joined = "".join(close_cells)
-    if not joined.isascii() or "_" in joined:
-        return _parse_rows(text)
-    try:
-        days = list(map(date.fromisoformat, map(str.strip, day_cells)))
-        closes = np.fromiter(map(float, close_cells), float, len(close_cells))
-    except ValueError:
-        return _parse_rows(text)
-    reordered = not all(map(operator.lt, days, islice(days, 1, None)))
-    if reordered:
-        order = sorted(range(len(days)), key=days.__getitem__)
-        days, closes = [days[k] for k in order], closes[order]
-    try:
-        return PriceSeries(dates=tuple(days), closes=closes, reordered=reordered)
-    except (PreconditionViolated, NonPositivePrice):
-        # A duplicate date, or a close out of range.
-        return _parse_rows(text)
-
-
-def _parse_rows(text: str) -> PriceSeries:
-    """``parse_prices`` one row at a time, raising the error of the first bad row."""
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
-    try:
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+        # Blank records are kept, so record k is row k + 1.
+        records = list(reader)
     except csv.Error as exc:
         # A carriage return inside a line, or a field past csv.field_size_limit.
         raise ParseError(f"unreadable CSV: {exc}", row=reader.line_num) from None
-    if not rows:
+    header_line = next((k + 1 for k, record in enumerate(records) if record), None)
+    if header_line is None:
         raise ParseError("empty input", row=1)
-    header_line, header = rows[0]
-    if [cell.strip() for cell in header] != ["date", "close"]:
+    if [cell.strip() for cell in records[header_line - 1]] != ["date", "close"]:
         raise ParseError("header must be exactly 'date,close'", row=header_line)
-    if len(rows) == 1:
+    rows = list(filter(None, islice(records, header_line, None)))
+    if not rows:
         raise ParseError("no data rows", row=header_line)
+    try:
+        # A row without exactly two fields makes zip raise ValueError.
+        day_cells, close_cells = zip(*rows, strict=True)
+        # parse_decimal's guard, applied to every cell at once.
+        joined = "".join(close_cells)
+        if not joined.isascii() or "_" in joined:
+            raise ValueError("a close outside the decimal grammar")
+        days = list(map(date.fromisoformat, map(str.strip, day_cells)))
+        closes = np.fromiter(map(float, close_cells), float, len(close_cells))
+        reordered = not all(map(operator.lt, days, islice(days, 1, None)))
+        if reordered:
+            order = sorted(range(len(days)), key=days.__getitem__)
+            days, closes = [days[k] for k in order], closes[order]
+        return PriceSeries(dates=tuple(days), closes=closes, reordered=reordered)
+    except (ValueError, PreconditionViolated, NonPositivePrice):
+        pass  # A bad field, a duplicate date or a close out of range: find its row.
+    _parse_rows(records, header_line)
 
-    parsed: list[tuple[date, float]] = []
+
+def _parse_rows(records: list[list[str]], header_line: int) -> NoReturn:
+    """Raise the error of the first bad data row after the header in row ``header_line``."""
     seen: set[date] = set()
-    for lineno, row in rows[1:]:
+    for lineno, row in enumerate(islice(records, header_line, None), start=header_line + 1):
+        if not row:
+            continue
         if len(row) != 2:
             raise ParseError(f"expected 2 fields, got {len(row)}", row=lineno)
         try:
@@ -218,15 +212,7 @@ def _parse_rows(text: str) -> PriceSeries:
         if day in seen:
             raise DuplicateDate(f"duplicate date {day.isoformat()}", row=lineno, column=1)
         seen.add(day)
-        parsed.append((day, close))
-
-    ordered = sorted(parsed)
-    reordered = ordered != parsed
-    return PriceSeries(
-        dates=tuple(day for day, _ in ordered),
-        closes=np.array([close for _, close in ordered]),
-        reordered=reordered,
-    )
+    raise AssertionError("parse_prices refused rows that are each valid")
 
 
 def load_prices(path) -> PriceSeries:
@@ -275,45 +261,27 @@ def segment_monthly(series: PriceSeries):
     return windows, skipped
 
 
-def _outside(factors: np.ndarray, alpha: float, beta: float, slack: float) -> np.ndarray:
-    """Mask of the rate factors outside ``[1/beta, alpha]`` widened by the relative ``slack``."""
-    return (factors < 1.0 / beta * (1.0 - slack)) | (factors > alpha * (1.0 + slack))
-
-
-def find_violations(rates, alpha: float, beta: float, slack: float = VIOLATION_SLACK):
-    """Daily steps whose rate factor leaves ``[1/beta, alpha]``.
-
-    The comparison is widened by the relative ``slack``; the reported
-    interval is the unwidened one.
-    """
-    e = np.asarray(rates, dtype=float).ravel()
-    lo, hi = 1.0 / beta, alpha
-    factors = e[1:] / e[:-1]
-    flagged = _outside(factors, alpha, beta, slack)
-    days = (np.flatnonzero(flagged) + 1).tolist()
-    return tuple(
-        Violation(day=day, factor=factor, lo=lo, hi=hi) for day, factor in zip(days, factors[flagged].tolist())
-    )
-
-
 def compare_report(
     series: PriceSeries, alpha: float, beta: float, slack: float = VIOLATION_SLACK
 ) -> BacktestReport:
     """Run the balanced strategy (BAL) and dollar averaging (DA) on every month.
 
     Raises ValueError unless ``alpha`` and ``beta`` are finite numbers
-    > 1.  Months too short for a plan are listed as skipped; the output
-    ordering is fixed by window date, so identical inputs yield
-    identical reports.  Shares are the weighted sum of the rates, the
+    > 1 and ``slack`` is a finite number >= 0.  Months too short for a
+    plan are listed as skipped; the output ordering is fixed by window
+    date, so identical inputs yield identical reports.  Shares are the weighted sum of the rates, the
     currency value converts them at the month's last close, and the
     realized ratio compares the best single-day rate with the shares.
+    A violation is a step whose rate factor leaves ``[1/beta, alpha]``
+    widened by the relative ``slack``; it reports the unwidened interval.
 
     The rates, factors and violations come from one scan of the whole
     series, and each month's shares from one dot product of its weights
-    with its rates, so every number equals what ``segment_monthly`` and
-    ``find_violations`` give month by month.
+    with its rates, so every number equals what a month-by-month loop
+    over ``segment_monthly``'s windows gives.
     """
     check_bounds(alpha, beta)
+    check_slack(slack)
     alpha, beta = float(alpha), float(beta)
     spans = _month_spans(series.dates)
     # Elementwise, the whole-series rates and factors are the bits each
@@ -322,14 +290,14 @@ def compare_report(
     # A step past the float range is inf, which the mask flags like any other.
     with np.errstate(over="ignore"):
         factors = rates[1:] / rates[:-1]
-    flagged = _outside(factors, alpha, beta, slack)
+    lo, hi = 1.0 / beta, alpha
+    flagged = (factors < lo * (1.0 - slack)) | (factors > hi * (1.0 + slack))
     # Step j goes from row j to row j + 1.
     bad_steps = np.flatnonzero(flagged).tolist()
     bad_factors = factors[flagged].tolist()
     starts = [start for _, start, _ in spans]
     best_rates = np.maximum.reduceat(rates, starts).tolist()
     last_closes = series.closes[[stop - 1 for _, _, stop in spans]].tolist()
-    lo, hi = 1.0 / beta, alpha
     plans = {}
     reports, skipped = [], []
     for (label, start, stop), best, last in zip(spans, best_rates, last_closes):
@@ -403,12 +371,10 @@ def synthetic_prices(
     dates = [day for day in (start + timedelta(days=k) for k in days) if day.weekday() < 5]
     rng = np.random.default_rng(seed)
     factors = rng.uniform(1.0 / beta, alpha, size=len(dates) - 1)
-    closes = np.empty(len(dates))
-    closes[0] = initial_price
-    # An overflow is reported below as PreconditionViolated, not as a warning.
+    # Each close is the previous one divided by that day's factor.  An
+    # overflow is reported below as PreconditionViolated, not as a warning.
     with np.errstate(over="ignore"):
-        for i, factor in enumerate(factors):
-            closes[i + 1] = closes[i] / factor
+        closes = np.divide.accumulate(np.concatenate(([initial_price], factors)))
     # A subnormal price has lost the digits that keep its steps within the bounds.
     if not (closes.min() >= sys.float_info.min and closes.max() < math.inf):
         raise PreconditionViolated(f"a synthetic price leaves the normal float range within {len(dates)} days")

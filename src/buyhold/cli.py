@@ -21,6 +21,7 @@ from .params import (
     bal_ratio,
     bal_weight_parts,
     check_bounds,
+    check_slack,
     downturn_rows,
     preset_bounds,
 )
@@ -58,8 +59,10 @@ def decimal(text: str) -> float:
 def tolerance(text: str) -> float:
     """Argument type for ``backtest --tolerance``: a finite number >= 0."""
     value = decimal(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    try:
+        check_slack(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
     return value
 
 

@@ -17,6 +17,7 @@ scaled solutions are strictly positive.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +75,6 @@ def _ratio_scaled_back(ratio: float, k: int) -> float:
         return math.ldexp(ratio, -k)
     except OverflowError:
         raise NumericalFailure("the game value is too small for its ratio to be a float") from None
-
-
-def is_mixed_strategy(weights, tol: float = 1e-12) -> bool:
-    """True iff ``weights`` is a probability vector (within ``tol`` on the sum)."""
-    w = np.asarray(weights, dtype=float).ravel()
-    return w.size > 0 and bool(np.all(w >= 0.0)) and abs(float(w.sum()) - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,8 @@ def solve_game_closed_form(H) -> GameSolution:
     noise and clipped to zero; anything more negative means this route
     does not apply and the caller must fall back to solve_game_lp.
 
-    Raises SingularMatrixError if ``H`` is singular, and
+    Raises DimensionMismatch unless ``H`` is a nonempty matrix,
+    SingularMatrixError if ``H`` is singular, and
     PreconditionViolated if ``H`` is not square or a component of the
     candidate solutions is genuinely negative.  ``unique`` is True iff
     every component of both candidates exceeds ``PIVOT_TOL``.
@@ -192,8 +188,10 @@ def solve_game_closed_form(H) -> GameSolution:
     magnitude of ``H``.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
+    if H.ndim != 2 or H.size == 0:
+        raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {H.shape}")
     m, n = H.shape
-    if H.size == 0 or not np.all(np.isfinite(H)):
+    if not np.all(np.isfinite(H)):
         raise NonPositiveEntry("payoff entries must be finite")
     if m != n:
         raise PreconditionViolated(f"closed form needs a square matrix, got {m}x{n}")
@@ -261,6 +259,8 @@ def check_extreme_point(H, x, y, rows, cols) -> bool:
     x and y solve ``x' H' = 1`` and ``H' y' = 1`` within
     ``FEASIBILITY_TOL``, and x and y vanish off the selected support.  A
     non-square selection is simply not a certificate and yields False.
+    Raises DimensionMismatch if an index is not an integer (to
+    ``operator.index``) or is out of range.
 
     Feasibility of x and y for the primal/dual pair is the caller's
     responsibility; only the certificate conditions are checked here.
@@ -273,8 +273,11 @@ def check_extreme_point(H, x, y, rows, cols) -> bool:
     y = np.ldexp(np.asarray(y, dtype=float).ravel(), k)
     if x.shape[0] != m or y.shape[0] != n:
         raise DimensionMismatch("x/y lengths must match the matrix dimensions")
-    rows = sorted({int(i) for i in rows})
-    cols = sorted({int(j) for j in cols})
+    try:
+        rows = sorted(set(map(operator.index, rows)))
+        cols = sorted(set(map(operator.index, cols)))
+    except TypeError:
+        raise DimensionMismatch("certificate indices must be integers") from None
     if any(i < 0 or i >= m for i in rows) or any(j < 0 or j >= n for j in cols):
         raise DimensionMismatch("certificate indices out of range")
     if len(rows) != len(cols) or not rows:

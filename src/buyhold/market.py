@@ -40,24 +40,6 @@ from .params import (
     preset_params,
 )
 
-#: Relative slack allowed on each daily step when validating sequences.
-ADMISSIBILITY_TOL = 1e-12
-
-def validate_sequence(params: MarketParams, rates, rel_tol: float = ADMISSIBILITY_TOL) -> bool:
-    """True iff every daily step of ``rates`` respects the bounds.
-
-    The sequence starts from the implicit rate 1 on day zero; each rate
-    may differ from its predecessor by a factor in ``[1/beta, alpha]``,
-    widened by ``rel_tol`` to absorb floating-point drift.
-    """
-    e = np.asarray(rates, dtype=float).ravel()
-    if e.shape[0] != params.n:
-        raise LengthMismatch(f"sequence has {e.shape[0]} rates, expected n = {params.n}")
-    prev = np.concatenate(([1.0], e[:-1]))
-    lo = prev / params.beta * (1.0 - rel_tol)
-    hi = prev * params.alpha * (1.0 + rel_tol)
-    return bool(np.all((e >= lo) & (e <= hi)))
-
 
 def _finite_vector(values, name: str) -> np.ndarray:
     """``values`` as a flat float array; raises ValueError unless every entry is finite."""
@@ -198,7 +180,8 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
     ``payoff_matrix_K`` would underflow: their terms decay to 0 without
     affecting the larger ones.
 
-    Raises ValueError if a weight is not finite or is negative.
+    Raises ValueError if a weight is not finite or is negative, or if
+    the strategy accumulates nothing on some downturn.
     """
     a = np.asarray(weights, dtype=float).ravel()
     if a.shape[0] != params.n:
@@ -208,7 +191,7 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
         raise ValueError(f"weights must be nonnegative, got {a.min():g}")
     worst = float(_times_kernel(a, float(params.alpha), float(params.beta)).min())
     if worst <= 0.0:
-        raise ZeroDivisionError("strategy accumulates nothing on a downturn")
+        raise ValueError("strategy accumulates nothing on a downturn")
     return 1.0 / worst
 
 

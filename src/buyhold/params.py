@@ -40,6 +40,16 @@ def check_bounds(alpha, beta) -> None:
             raise ValueError(f"{name} must be a finite number > 1, got {value}")
 
 
+def check_slack(slack) -> None:
+    """Raise ValueError unless ``slack`` is a finite number >= 0."""
+    try:
+        valid = slack >= 0.0 and math.isfinite(slack)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"slack must be a finite number >= 0, got {slack}")
+
+
 def check_horizon(n) -> None:
     """Raise ValueError unless ``n`` is an integer (to ``operator.index``) >= 2."""
     try:

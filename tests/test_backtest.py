@@ -36,7 +36,6 @@ from buyhold.backtest import (
     PriceSeries,
     Violation,
     WindowReport,
-    find_violations,
     load_prices,
     series_csv,
 )
@@ -119,7 +118,7 @@ def reference_segment_monthly(series):
 
 
 def reference_violations(rates, alpha, beta, slack=VIOLATION_SLACK):
-    # The day-by-day loop find_violations replaced.
+    # The day-by-day loop that compare_report's one scan replaced.
     lo, hi = 1.0 / beta, alpha
     out = []
     for i in range(1, len(rates)):
@@ -246,6 +245,16 @@ class TestParsing:
         text = "date,close\n1997-01-02,100\n1997-01-03,101\n"
         assert parse_prices(decode_utf8(text.encode())).dates == parse_prices(text).dates
 
+    def test_text_is_tokenized_once(self):
+        # The row reader that names a bad row goes through the same records.
+        with mock.patch.object(backtest.csv, "reader", wraps=csv.reader) as reader:
+            parse_prices("date,close\n1997-01-02,100\n1997-01-03,101\n")
+            assert reader.call_count == 1
+            with pytest.raises(ParseError) as err:
+                parse_prices("date,close\n1997-01-02,100\n\n1997-01-03,x\n")
+            assert reader.call_count == 2
+        assert (err.value.row, err.value.column) == (4, 2)
+
     def test_series_csv_roundtrip(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=2, seed=9)
         back = parse_prices(series_csv(series))
@@ -323,7 +332,9 @@ class TestViolations:
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=1, seed=4)
         closes = series.closes.copy()
         closes[10:] *= 0.5
-        violations = find_violations(1.0 / closes, TAIPEI_ALPHA, TAIPEI_BETA)
+        (window,) = compare_report(PriceSeries(series.dates, closes), TAIPEI_ALPHA, TAIPEI_BETA).windows
+        violations = dict(window.results)["BAL"].violations
+        assert violations == reference_violations(1.0 / closes, TAIPEI_ALPHA, TAIPEI_BETA)
         assert len(violations) == 1
         assert violations[0].day == 10
         assert violations[0].factor == pytest.approx(closes[9] / closes[10], rel=1e-12)
@@ -331,10 +342,8 @@ class TestViolations:
         assert violations[0].lo == pytest.approx(1.0 / TAIPEI_BETA, rel=1e-15)
         assert violations[0].hi == pytest.approx(TAIPEI_ALPHA, rel=1e-15)
         # The window is still evaluated.
-        (window,) = compare_report(PriceSeries(series.dates, closes), TAIPEI_ALPHA, TAIPEI_BETA).windows
         for _, result in window.results:
             assert result.shares > 0.0
-            assert result.violations == violations
 
     def test_both_strategies_carry_the_same_violations(self):
         # Halving every seventh close breaks the bounds twice a week.
@@ -349,7 +358,7 @@ class TestViolations:
             (_, bal), (_, da) = window.results
             assert bal.violations
             assert bal.violations is da.violations
-            assert bal.violations == find_violations(plan.rates, TAIPEI_ALPHA, TAIPEI_BETA)
+            assert bal.violations == reference_violations(plan.rates, TAIPEI_ALPHA, TAIPEI_BETA)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_daily_loop_on_dense_series(self, seed):
@@ -360,12 +369,17 @@ class TestViolations:
         limit = 2.0 * min(np.log(alpha), np.log(beta))
         n = int(rng.integers(2, 300))
         rates = np.exp(np.cumsum(rng.uniform(-limit, limit, size=n))) * rng.uniform(1e-3, 0.1)
+        # Consecutive calendar days, so the series spans up to ten months.
+        days = tuple(date(2001, 1, 1) + timedelta(days=k) for k in range(n))
+        series = PriceSeries(days, 1.0 / rates)
+        counts = {}
         for slack in (0.0, VIOLATION_SLACK, 0.05):
-            want = reference_violations(rates, alpha, beta, slack)
-            got = find_violations(rates, alpha, beta, slack=slack)
-            assert got == want
-            assert [type(v.day) for v in got] == [int] * len(got)
-        assert len(find_violations(rates, alpha, beta)) > n // 8
+            got = compare_report(series, alpha, beta, slack=slack)
+            assert repr(got) == repr(reference_compare_report(series, alpha, beta, slack))
+            violations = [v for window in got.windows for v in dict(window.results)["BAL"].violations]
+            assert [type(v.day) for v in violations] == [int] * len(violations)
+            counts[slack] = len(violations)
+        assert counts[VIOLATION_SLACK] > n // 8
 
     def test_step_past_the_float_range(self):
         # The rate factor 1e320 overflows to inf; inside a month it is a
@@ -418,6 +432,19 @@ class TestCompareReport:
         with pytest.raises(ValueError, match="finite number > 1"):
             compare_report(series, alpha, beta)
 
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf"), -3.0, "x"])
+    def test_bad_slack_rejected(self, slack):
+        # One month with two steps outside the bounds.  Unchecked, NaN and
+        # inf flagged none of them, -3 flagged every step and "x" raised TypeError.
+        series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=1, seed=4)
+        closes = series.closes.copy()
+        closes[10] *= 0.5
+        dirty = PriceSeries(series.dates, closes)
+        (window,) = compare_report(dirty, TAIPEI_ALPHA, TAIPEI_BETA).windows
+        assert len(dict(window.results)["BAL"].violations) == 2
+        with pytest.raises(ValueError, match="slack must be a finite number >= 0"):
+            compare_report(dirty, TAIPEI_ALPHA, TAIPEI_BETA, slack=slack)
+
 
 class TestRendering:
     def test_json_schema(self):
@@ -446,7 +473,38 @@ class TestRendering:
         assert svg.count("<polyline") == 2
 
 
+def reference_synthetic_closes(alpha, beta, months=12, seed=0, start=date(1997, 1, 1), initial_price=100.0):
+    # The day-by-day loop that synthetic_prices' one accumulate replaced.
+    end = backtest.window_end(start, months)
+    n = sum(1 for k in range((end - start).days + 1) if (start + timedelta(days=k)).weekday() < 5)
+    factors = np.random.default_rng(seed).uniform(1.0 / beta, alpha, size=n - 1)
+    closes = np.empty(n)
+    closes[0] = initial_price
+    with np.errstate(over="ignore"):
+        for i, factor in enumerate(factors):
+            closes[i + 1] = closes[i] / factor
+    return closes
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize(
+        "alpha, beta, months, price, in_range",
+        [(TAIPEI_ALPHA, TAIPEI_BETA, 12, 100.0, True), (1.5, 1.01, 24, 1e300, True), (1.01, 1.5, 24, 1e-300, True),
+         (2.0, 2.0, 1, np.exp(700.0), True), (2.0, 2.0, 1, np.exp(-700.0), True),
+         (1.01, 1.5, 24, 1e300, False), (1.5, 1.01, 24, 1e-300, False)],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_closes_match_daily_loop(self, alpha, beta, months, price, in_range, seed):
+        want = reference_synthetic_closes(alpha, beta, months, seed, initial_price=price)
+        assert bool(np.all((want >= np.finfo(float).tiny) & (want < np.inf))) == in_range
+        if in_range:
+            got = synthetic_prices(alpha, beta, months=months, seed=seed, initial_price=price).closes
+            assert got.tobytes() == want.tobytes()
+        else:
+            # The loop overflows, or falls below the normal range; so must the bulk pass.
+            with pytest.raises(PreconditionViolated, match="float range"):
+                synthetic_prices(alpha, beta, months=months, seed=seed, initial_price=price)
+
     def test_seeded_determinism(self):
         a = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=3, seed=12)
         b = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=3, seed=12)

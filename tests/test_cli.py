@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from buyhold import ParseError, backtest, cli
 from buyhold.cli import main, read_matrix_csv
 from buyhold.formatting import fmt12
-from buyhold.market import MarketParams, payoff_matrix_K, validate_sequence
+from buyhold.market import MarketParams, payoff_matrix_K
 
 
 def run_cli(capsys, *args):
@@ -246,11 +246,14 @@ class TestDownturns:
         code, out, _ = run_cli(
             capsys, "downturns", "--preset", "tokyo", "--days", "5", "--format", "csv"
         )
-        params = MarketParams(1.0 / 0.95, 1.30, 5)
-        rows = [np.array([float(v) for v in line.split(",")]) for line in out.splitlines()]
-        assert len(rows) == 5
-        # Parsing from 12 significant digits needs a matching slack.
-        assert all(validate_sequence(params, row, rel_tol=1e-9) for row in rows)
+        alpha, beta = 1.0 / 0.95, 1.30
+        rows = [np.array([1.0] + [float(v) for v in line.split(",")]) for line in out.splitlines()]
+        assert [len(row) for row in rows] == [6] * 5
+        # Each step from day zero's rate 1 is within [1/beta, alpha]; parsing
+        # from 12 significant digits needs a slack of 1e-9.
+        factors = np.concatenate([row[1:] / row[:-1] for row in rows])
+        assert factors.min() >= 1.0 / beta * (1.0 - 1e-9)
+        assert factors.max() <= alpha * (1.0 + 1e-9)
 
     def test_json(self, capsys):
         code, out, _ = run_cli(

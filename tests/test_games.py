@@ -15,11 +15,17 @@ from buyhold import (
     worst_case_columns,
 )
 from buyhold import games
-from buyhold.games import as_payoff_matrix, is_mixed_strategy
+from buyhold.games import as_payoff_matrix
 from buyhold.market import MarketParams, payoff_matrix_K
 
 SYM2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 K3 = payoff_matrix_K(MarketParams(2.0, 2.0, 3))
+
+
+def is_mixed_strategy(weights, tol):
+    """True iff ``weights`` is a probability vector, within ``tol`` on the sum."""
+    w = np.asarray(weights, dtype=float).ravel()
+    return w.size > 0 and bool(np.all(w >= 0.0)) and abs(float(w.sum()) - 1.0) <= tol
 
 
 def test_payoff_validation():
@@ -92,6 +98,14 @@ def test_closed_form_rejects_nonsquare_and_negative_candidates():
     assert sol.online_strategy == pytest.approx([1.0, 0.0], abs=1e-10)
 
 
+@pytest.mark.parametrize("H", [np.ones((2, 2, 2)), np.zeros((0, 0)), np.zeros((2, 0)), []])
+def test_closed_form_rejects_a_non_matrix(H):
+    # solve_game refuses the same input with the same error.
+    for solve in (solve_game_closed_form, solve_game):
+        with pytest.raises(DimensionMismatch, match="expected a nonempty 2-D matrix"):
+            solve(H)
+
+
 def test_solve_game_prefers_closed_form():
     sol, route = solve_game(K3)
     assert route == "closed-form"
@@ -123,6 +137,7 @@ def test_check_extreme_point():
     K2 = payoff_matrix_K(MarketParams(2.0, 2.0, 2))
     x = np.array([2.0 / 3.0, 2.0 / 3.0])
     assert check_extreme_point(K2, x, x, [0, 1], [0, 1])
+    assert check_extreme_point(K2, x, x, np.arange(2), [np.int32(0), np.int64(1)])
     assert check_extreme_point([[1.0]], [1.0], [1.0], [0], [0])
     # A non-square support selection is simply not a certificate.
     assert not check_extreme_point(K2, [4.0 / 3.0, 0.0], x, [0], [0, 1])
@@ -134,6 +149,15 @@ def test_check_extreme_point():
         check_extreme_point(K2, [1.0], x, [0, 1], [0, 1])
     with pytest.raises(DimensionMismatch):
         check_extreme_point(K2, x, x, [0, 5], [0, 1])
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [([0.7], [0.2]), ([0], [0.0]), (["0"], [0]), ([np.float64(0.0)], [0]), (0, [0])]
+)
+def test_check_extreme_point_refuses_non_integer_indices(rows, cols):
+    # int() would read 0.7 and 0.2 as the certificate {0} x {0}, which holds here.
+    with pytest.raises(DimensionMismatch, match="integers"):
+        check_extreme_point([[1.0, 2.0], [2.0, 1.0]], [1.0, 0.0], [1.0, 0.0], rows, cols)
 
 
 def test_check_extreme_point_rejects_nan():

@@ -27,7 +27,7 @@ from buyhold import (
     solve_game_closed_form,
     static_ratio_via_downturns,
 )
-from buyhold.market import CIRCUIT_BREAKERS, _times_kernel, bal_weight_parts, validate_sequence
+from buyhold.market import CIRCUIT_BREAKERS, _times_kernel, bal_weight_parts
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
@@ -57,6 +57,19 @@ def times_kernel_inverse(v, alpha, beta):
     out[1:] -= beta * v[:-1]
     out[:-1] -= alpha * v[1:]
     return out / (alpha * beta - 1.0)
+
+
+def admissible(params, rates, rel_tol=1e-12):
+    """True iff each of the ``n`` rates is within ``[1/beta, alpha]`` times the one before.
+
+    Day zero's rate is 1, and the interval is widened by the relative
+    ``rel_tol`` to absorb floating-point drift.
+    """
+    e = np.asarray(rates, dtype=float).ravel()
+    assert e.shape == (params.n,)
+    prev = np.concatenate(([1.0], e[:-1]))
+    lo, hi = prev / params.beta * (1.0 - rel_tol), prev * params.alpha * (1.0 + rel_tol)
+    return bool(np.all((lo <= e) & (e <= hi)))
 
 
 def params_grid():
@@ -162,12 +175,12 @@ class TestMarketParams:
 class TestSequences:
     def test_validate_examples(self):
         p3 = MarketParams(2.0, 2.0, 3)
-        assert validate_sequence(p3, [2.0, 4.0, 2.0])
+        assert admissible(p3, [2.0, 4.0, 2.0])
         p2 = MarketParams(2.0, 2.0, 2)
-        assert validate_sequence(p2, [1.0, 1.0])
-        assert not validate_sequence(p2, [3.0, 3.0])
-        with pytest.raises(LengthMismatch):
-            validate_sequence(p2, [1.0, 1.0, 1.0])
+        assert admissible(p2, [1.0, 1.0])
+        assert not admissible(p2, [3.0, 3.0])
+        assert not admissible(p2, [2.0, 0.5])
+        assert admissible(p2, [2.0, 1.0])
 
     def test_offline_optimum(self):
         assert offline_optimum([2.0, 4.0, 2.0]) == 4.0
@@ -246,7 +259,7 @@ class TestDownturns:
     def test_always_admissible(self, alpha, beta, n):
         params = MarketParams(alpha, beta, n)
         for seq in downturns(params):
-            assert validate_sequence(params, seq)
+            assert admissible(params, seq)
 
 
 class TestPayoffKernel:
@@ -488,7 +501,7 @@ class TestStaticRatio:
             static_ratio_via_downturns(weights, MarketParams(2.0, 2.0, 2))
 
     def test_nothing_accumulated_raises(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError):
             static_ratio_via_downturns([0.0, 0.0, 0.0], MarketParams(2.0, 2.0, 3))
 
     def test_downturn_past_float_range(self):

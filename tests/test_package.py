@@ -62,3 +62,38 @@ def test_import_is_lazy_and_submodules_resolve():
     env = {**os.environ, "PYTHONPATH": str(Path(buyhold.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _unreferenced_public_names(package: Path) -> list[str]:
+    """Public top-level names of the library that its own code never uses and does not export.
+
+    A use is a ``Name`` or an ``Attribute`` node anywhere in the library,
+    so a name that only a docstring or a test mentions counts as unused.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    used |= {name for names in buyhold._EXPORTS.values() for name in names}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unused += [f"{module}.{name}" for name in names if not name.startswith("_") and name not in used]
+    return unused
+
+
+def test_every_public_name_is_used_or_exported():
+    # A public name the library neither calls nor exports is code kept only for its tests.
+    assert _unreferenced_public_names(Path(buyhold.__file__).resolve().parent) == []
