@@ -27,12 +27,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 import numpy as np
 
 from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError, PreconditionViolated
-from .formatting import decode_utf8, parse_decimal, render, to_json
+from .formatting import decode_utf8, json_float, parse_decimal, render
 from .market import bal_weights, da_weights
 from .params import MarketParams, check_bounds, check_slack
 from .svgchart import line_chart
@@ -221,15 +222,19 @@ def load_prices(path) -> PriceSeries:
         return parse_prices(decode_utf8(handle.read()))
 
 
-def _month_spans(dates) -> list[tuple[str, int, int]]:
-    """``(label, start, stop)`` of each calendar month of sorted ``dates``.
+def _month_spans(dates) -> tuple[list[tuple[str, int, int]], list[tuple[str, str]]]:
+    """The calendar months of sorted ``dates``: ``(spans, skipped)``.
 
-    Rows ``start`` to ``stop - 1`` fall in the month ``label``, written
-    ``YYYY-MM``.  Raises LengthMismatch if ``dates`` is empty.
+    ``spans`` holds ``(label, start, stop)`` for each month with a plan:
+    rows ``start`` to ``stop - 1`` fall in the month ``label``, written
+    ``YYYY-MM``.  ``skipped`` holds ``(label, reason)`` for each month
+    with a single trading day, on which every strategy is forced (a plan
+    needs ``n >= 2``, see MarketParams).  Both are in date order.
+    Raises LengthMismatch if ``dates`` is empty.
     """
     if not dates:
         raise LengthMismatch("price series is empty")
-    spans = []
+    spans, skipped = [], []
     start = 0
     while start < len(dates):
         year, month = dates[start].year, dates[start].month
@@ -238,9 +243,13 @@ def _month_spans(dates) -> list[tuple[str, int, int]]:
             stop = len(dates)
         else:
             stop = bisect_left(dates, date(year + month // 12, month % 12 + 1, 1), start)
-        spans.append((f"{year:04d}-{month:02d}", start, stop))
+        label = f"{year:04d}-{month:02d}"
+        if stop - start >= 2:
+            spans.append((label, start, stop))
+        else:
+            skipped.append((label, f"only {stop - start} trading day(s)"))
         start = stop
-    return spans
+    return spans, skipped
 
 
 def segment_monthly(series: PriceSeries):
@@ -250,14 +259,11 @@ def segment_monthly(series: PriceSeries):
     reason)`` for months with a single trading day, on which every
     strategy is forced (a plan needs ``n >= 2``, see MarketParams).
     """
-    windows: list[PlanWindow] = []
-    skipped: list[tuple[str, str]] = []
-    for label, start, stop in _month_spans(series.dates):
-        if stop - start >= 2:
-            # PriceSeries.closes is read-only, so the window shares it.
-            windows.append(PlanWindow(label, series.dates[start:stop], series.closes[start:stop]))
-        else:
-            skipped.append((label, f"only {stop - start} trading day(s)"))
+    spans, skipped = _month_spans(series.dates)
+    # PriceSeries.closes is read-only, so the windows share it.
+    windows = [
+        PlanWindow(label, series.dates[start:stop], series.closes[start:stop]) for label, start, stop in spans
+    ]
     return windows, skipped
 
 
@@ -283,7 +289,7 @@ def compare_report(
     check_bounds(alpha, beta)
     check_slack(slack)
     alpha, beta = float(alpha), float(beta)
-    spans = _month_spans(series.dates)
+    spans, skipped = _month_spans(series.dates)
     # Elementwise, the whole-series rates and factors are the bits each
     # month's slice would give.
     rates = 1.0 / series.closes
@@ -295,16 +301,16 @@ def compare_report(
     # Step j goes from row j to row j + 1.
     bad_steps = np.flatnonzero(flagged).tolist()
     bad_factors = factors[flagged].tolist()
-    starts = [start for _, start, _ in spans]
-    best_rates = np.maximum.reduceat(rates, starts).tolist()
+    # Every other segment is a month's rows; the ones between hold skipped
+    # months.  reduceat takes no index past the last row, so a month that
+    # ends the series gives its start only.
+    edges = [row for _, start, stop in spans for row in (start, stop) if row < len(rates)]
+    best_rates = np.maximum.reduceat(rates, edges)[::2].tolist()
     last_closes = series.closes[[stop - 1 for _, _, stop in spans]].tolist()
     plans = {}
-    reports, skipped = [], []
+    reports = []
     for (label, start, stop), best, last in zip(spans, best_rates, last_closes):
         n = stop - start
-        if n < 2:
-            skipped.append((label, f"only {n} trading day(s)"))
-            continue
         if n not in plans:
             plans[n] = (("BAL", bal_weights(MarketParams(alpha, beta, n))), ("DA", da_weights(n)))
         # The steps inside the month are those from rows start to stop - 1.
@@ -324,12 +330,16 @@ def compare_report(
 def window_end(start: date, months: int) -> date:
     """The last day of the ``months`` calendar months that begin with ``start``'s.
 
-    Raises ValueError unless ``months >= 1``, the window ends by
-    ``date.max``, in December 9999, and it holds a weekday from
-    ``start`` on.
+    Raises ValueError unless ``months`` is an integer (to
+    ``operator.index``) >= 1, the window ends by ``date.max``, in
+    December 9999, and it holds a weekday from ``start`` on.
     """
-    if months < 1:
-        raise ValueError("months must be >= 1")
+    try:
+        valid = operator.index(months) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"months must be an integer >= 1, got {months!r}")
     # Calendar months counted from January of year 0.
     last = start.year * 12 + start.month - 1 + months - 1
     if last > date.max.year * 12 + date.max.month - 1:
@@ -357,16 +367,24 @@ def synthetic_prices(
     so every step (within and across months) respects the bounds; the
     price moves by the reciprocal factor.  Raises ValueError unless
     ``alpha`` and ``beta`` are finite numbers > 1, ``initial_price`` is
-    a finite number > 0, ``seed`` is >= 0 and ``window_end`` accepts
-    the window, and PreconditionViolated if a price overflows or falls
-    below the normal float range.
+    a finite number > 0, ``seed`` is an integer (to ``operator.index``)
+    >= 0 and ``window_end`` accepts the window, and PreconditionViolated
+    if a price overflows or falls below the normal float range.
     """
     check_bounds(alpha, beta)
     end = window_end(start, months)
-    if not (math.isfinite(initial_price) and initial_price > 0.0):
-        raise ValueError(f"initial_price must be a finite number > 0, got {initial_price}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    try:
+        valid = initial_price > 0.0 and math.isfinite(initial_price)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"initial_price must be a finite number > 0, got {initial_price!r}")
+    try:
+        valid = operator.index(seed) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     days = range((end - start).days + 1)
     dates = [day for day in (start + timedelta(days=k) for k in days) if day.weekday() < 5]
     rng = np.random.default_rng(seed)
@@ -387,33 +405,74 @@ def series_csv(series: PriceSeries) -> str:
     return render([("date", "close"), *rows], "csv")
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """``items``, each written for the depth below ``indent``, as a JSON array at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _violation_json(v: Violation) -> str:
+    return (
+        f'{{\n              "day": {int.__repr__(v.day)},\n'
+        f'              "factor": {json_float(v.factor)},\n'
+        f'              "min": {json_float(v.lo)},\n'
+        f'              "max": {json_float(v.hi)}\n            }}'
+    )
+
+
+def _strategy_json(name: str, r: PlanResult, violations: str) -> str:
+    return (
+        f'{{\n          "name": {encode_basestring_ascii(name)},\n'
+        f'          "shares": {json_float(r.shares)},\n'
+        f'          "currency_value": {json_float(r.currency_value)},\n'
+        f'          "realized_ratio": {json_float(r.realized_ratio)},\n'
+        f'          "violations": {violations}\n        }}'
+    )
+
+
+def _window_json(window: WindowReport) -> str:
+    strategies, shared, violations = [], None, ""
+    for name, r in window.results:
+        # compare_report gives both strategies of a month one violations tuple.
+        if r.violations is not shared:
+            shared = r.violations
+            violations = _json_array(list(map(_violation_json, shared)), "          ")
+        strategies.append(_strategy_json(name, r, violations))
+    strategies = _json_array(strategies, "      ")
+    return (
+        f'{{\n      "label": {encode_basestring_ascii(window.label)},\n'
+        f'      "n": {int.__repr__(window.n)},\n'
+        f'      "strategies": {strategies}\n    }}'
+    )
+
+
 def report_json(report: BacktestReport) -> str:
-    """Render a report as JSON with 12-significant-digit numbers."""
-    payload = {
-        "params": {"alpha": report.alpha, "beta": report.beta},
-        "windows": [
-            {
-                "label": window.label,
-                "n": window.n,
-                "strategies": [
-                    {
-                        "name": name,
-                        "shares": result.shares,
-                        "currency_value": result.currency_value,
-                        "realized_ratio": result.realized_ratio,
-                        "violations": [
-                            {"day": v.day, "factor": v.factor, "min": v.lo, "max": v.hi}
-                            for v in result.violations
-                        ],
-                    }
-                    for name, result in window.results
-                ],
-            }
-            for window in report.windows
+    """Render a report as JSON with 12-significant-digit numbers.
+
+    The layout is ``json.dumps(indent=2)``'s, with a newline at the end:
+    the bytes ``formatting.to_json`` writes for the report's payload of
+    params, windows with their strategies and violations, and skipped
+    months.  Each record is written from one fixed template at its
+    depth, and a violations tuple that a month's strategies share is
+    written once.  Floats are spelled by ``formatting.json_float``,
+    strings by ``encode_basestring_ascii`` and ints by ``int.__repr__``.
+    """
+    windows = _json_array(list(map(_window_json, report.windows)), "  ")
+    skipped = _json_array(
+        [
+            f'{{\n      "window": {encode_basestring_ascii(label)},\n'
+            f'      "reason": {encode_basestring_ascii(reason)}\n    }}'
+            for label, reason in report.skipped
         ],
-        "skipped": [{"window": label, "reason": reason} for label, reason in report.skipped],
-    }
-    return to_json(payload)
+        "  ",
+    )
+    return (
+        f'{{\n  "params": {{\n    "alpha": {json_float(report.alpha)},\n'
+        f'    "beta": {json_float(report.beta)}\n  }},\n'
+        f'  "windows": {windows},\n  "skipped": {skipped}\n}}\n'
+    )
 
 
 def report_rows(report: BacktestReport) -> list[tuple]:

@@ -2,7 +2,8 @@
 
 ``render`` turns rows of cells into CSV or aligned text, ``to_json``
 writes a payload as indented JSON in one recursive pass; both give a
-float 12 significant digits.
+float 12 significant digits.  ``json_float`` is the one spelling of a
+float in JSON, which ``to_json`` and ``backtest.report_json`` share.
 ``parse_decimal`` is the one grammar for the numbers the package reads,
 ``decode_utf8`` the one decoding of the files it reads.  No numpy is
 imported here: arrays are recognised by their ``tolist`` method.
@@ -79,7 +80,7 @@ def render(rows, fmt: str, widths=()) -> str:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(value: float) -> str:
+def json_float(value: float) -> str:
     """``value`` rounded to 12 significant digits, as ``json`` writes the rounded float.
 
     A ``.12g`` text with a point and no exponent is already the shortest
@@ -95,7 +96,7 @@ def _json_float(value: float) -> str:
 
 def _json(value, indent: str) -> str:
     if isinstance(value, float):
-        return _json_float(value)
+        return json_float(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:

@@ -38,14 +38,37 @@ OPTIMALITY_TOL = 1e-8
 TIE_TOL = 1e-10
 
 
+def _float_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a nonempty 2-D float array, a scalar as a 1x1 one.
+
+    Raises DimensionMismatch unless ``matrix`` is a nonempty matrix whose
+    rows have equal lengths, and NonPositiveEntry if an entry is not a
+    real number.
+    """
+    try:
+        a = np.asarray(matrix)
+    except ValueError:
+        # Only a ragged nesting of sequences is refused before any entry is read.
+        raise DimensionMismatch("expected a matrix, got rows of different lengths") from None
+    if a.dtype.kind == "c":
+        raise NonPositiveEntry("payoff entries must be real numbers")
+    try:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+    except (TypeError, ValueError):
+        raise NonPositiveEntry("payoff entries must be real numbers") from None
+    if a.ndim != 2 or a.size == 0:
+        raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {a.shape}")
+    return a
+
+
 def as_payoff_matrix(matrix) -> np.ndarray:
     """Validate and return a payoff matrix as a 2-D float array.
 
-    Every entry must be finite and strictly positive.
+    Every entry must be a finite and strictly positive real number.
+    Raises DimensionMismatch unless ``matrix`` is a nonempty matrix with
+    rows of equal length, and NonPositiveEntry for any other bad entry.
     """
-    a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if a.ndim != 2 or a.size == 0:
-        raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {a.shape}")
+    a = _float_matrix(matrix)
     if not np.all(np.isfinite(a)):
         raise NonPositiveEntry("payoff entries must be finite")
     if np.any(a <= 0.0):
@@ -125,7 +148,12 @@ def solve_primal_dual(H) -> LpSolution:
     largest entry into [0.5, 1), and the solutions are scaled back
     exactly, so no tolerance depends on the magnitude of ``H``.
     """
-    H, k = _unit_scaled(as_payoff_matrix(H))
+    return _primal_dual(as_payoff_matrix(H))
+
+
+def _primal_dual(H: np.ndarray) -> LpSolution:
+    """solve_primal_dual of a matrix that ``as_payoff_matrix`` returned."""
+    H, k = _unit_scaled(H)
     x, y, dual = solve_packing(H)
     residual = max(float(np.max(1.0 - x @ H)), float(np.max(H @ y - 1.0)))
     if residual > OPTIMALITY_TOL:
@@ -151,7 +179,12 @@ def solve_game_lp(H) -> GameSolution:
     Works for any positive payoff matrix, rectangular included.  This
     route never certifies uniqueness (``unique`` is always False).
     """
-    lp = solve_primal_dual(H)
+    return _game_lp(as_payoff_matrix(H))
+
+
+def _game_lp(H: np.ndarray) -> GameSolution:
+    """solve_game_lp of a matrix that ``as_payoff_matrix`` returned."""
+    lp = _primal_dual(H)
     ratio = float(lp.x.sum())
     return GameSolution(
         value=1.0 / ratio,
@@ -172,8 +205,9 @@ def solve_game_closed_form(H) -> GameSolution:
     noise and clipped to zero; anything more negative means this route
     does not apply and the caller must fall back to solve_game_lp.
 
-    Raises DimensionMismatch unless ``H`` is a nonempty matrix,
-    SingularMatrixError if ``H`` is singular, and
+    Raises DimensionMismatch unless ``H`` is a nonempty matrix with rows
+    of equal length, NonPositiveEntry if an entry is not a finite real
+    number, SingularMatrixError if ``H`` is singular, and
     PreconditionViolated if ``H`` is not square or a component of the
     candidate solutions is genuinely negative.  ``unique`` is True iff
     every component of both candidates exceeds ``PIVOT_TOL``.
@@ -187,9 +221,7 @@ def solve_game_closed_form(H) -> GameSolution:
     scaled back exactly, so ``PIVOT_TOL`` does not depend on the
     magnitude of ``H``.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    if H.ndim != 2 or H.size == 0:
-        raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {H.shape}")
+    H = _float_matrix(H)
     m, n = H.shape
     if not np.all(np.isfinite(H)):
         raise NonPositiveEntry("payoff entries must be finite")
@@ -228,7 +260,7 @@ def solve_game(H) -> tuple[GameSolution, str]:
             return solve_game_closed_form(H), "closed-form"
         except (SingularMatrixError, PreconditionViolated):
             pass
-    return solve_game_lp(H), "lp"
+    return _game_lp(H), "lp"
 
 
 def worst_case_columns(H, x) -> set[int]:

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from collections import Counter
 from datetime import date, timedelta
 from itertools import groupby
@@ -39,7 +40,7 @@ from buyhold.backtest import (
     load_prices,
     series_csv,
 )
-from buyhold.formatting import decode_utf8, parse_decimal
+from buyhold.formatting import decode_utf8, parse_decimal, to_json
 from buyhold.market import bal_weights, check_bounds, da_weights
 
 TAIPEI_ALPHA = 1.0 / 0.93
@@ -144,6 +145,36 @@ def reference_compare_report(series, alpha, beta, slack=VIOLATION_SLACK):
             results.append((name, PlanResult(shares, shares * last, best / shares, violations)))
         reports.append(WindowReport(label=window.label, n=n, results=tuple(results)))
     return BacktestReport(alpha=alpha, beta=beta, windows=tuple(reports), skipped=tuple(skipped))
+
+
+def reference_report_json(report):
+    # report_json as it was: the whole report built as a payload of dicts
+    # and lists, then written by formatting.to_json.
+    payload = {
+        "params": {"alpha": report.alpha, "beta": report.beta},
+        "windows": [
+            {
+                "label": window.label,
+                "n": window.n,
+                "strategies": [
+                    {
+                        "name": name,
+                        "shares": result.shares,
+                        "currency_value": result.currency_value,
+                        "realized_ratio": result.realized_ratio,
+                        "violations": [
+                            {"day": v.day, "factor": v.factor, "min": v.lo, "max": v.hi}
+                            for v in result.violations
+                        ],
+                    }
+                    for name, result in window.results
+                ],
+            }
+            for window in report.windows
+        ],
+        "skipped": [{"window": label, "reason": reason} for label, reason in report.skipped],
+    }
+    return to_json(payload)
 
 
 def one_month(first_day, closes, alpha, beta):
@@ -543,6 +574,14 @@ class TestSynthetic:
             day += timedelta(days=1)
         assert synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=months, start=start).dates == tuple(expected)
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [("initial_price", "x"), ("initial_price", None), ("seed", "x"), ("seed", 1.5), ("months", 1.5), ("months", "2")],
+    )
+    def test_argument_of_the_wrong_type_rejected(self, argument, value):
+        with pytest.raises(ValueError, match=argument):
+            synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, **{"months": 1, argument: value})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=1, seed=-1)
@@ -726,3 +765,73 @@ class TestBulkMatchesReference:
         assert [(w.label, w.dates, w.closes.tolist()) for w in windows] == [
             (w.label, w.dates, w.closes.tolist()) for w in ref_windows
         ]
+
+
+#: Floats whose spelling is easy to get wrong: signed zeros, subnormals,
+#: the edges of positional notation, and the values JSON has no number for.
+_ODD_FLOATS = [0.0, -0.0, 5e-324, -1e-310, 1e15, 1e16, -1e16, 123456789012.5, math.nan, math.inf, -math.inf]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_ODD_FLOATS))
+_TEXT = st.one_of(st.sampled_from(["1997-01", "BAL", "DA", "only 1 trading day(s)", ' "é"\t\\ ']), st.text(max_size=6))
+_VIOLATIONS = st.lists(
+    st.builds(Violation, day=st.integers(-(2**70), 2**70), factor=_FLOATS, lo=_FLOATS, hi=_FLOATS), max_size=2
+).map(tuple)
+_RESULTS = st.builds(PlanResult, _FLOATS, _FLOATS, _FLOATS, _VIOLATIONS)
+
+
+@st.composite
+def _hand_built_reports(draw):
+    """A report compare_report does not return: BAL and DA with their own violations, any floats and text."""
+    strategies = st.one_of(
+        st.tuples(_RESULTS, _RESULTS).map(lambda pair: (("BAL", pair[0]), ("DA", pair[1]))),
+        st.lists(st.tuples(_TEXT, _RESULTS), max_size=2).map(tuple),
+    )
+    windows = st.builds(WindowReport, label=_TEXT, n=st.integers(0, 10**6), results=strategies)
+    return BacktestReport(
+        alpha=draw(_FLOATS),
+        beta=draw(_FLOATS),
+        windows=tuple(draw(st.lists(windows, max_size=2))),
+        skipped=tuple(draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=2))),
+    )
+
+
+@st.composite
+def _compared_series(draw):
+    """A series that is clean, read from shuffled rows, violation-dense, of one-day
+    months only, or that has a step whose rate factor overflows to inf."""
+    kind = draw(st.sampled_from(["clean", "shuffled", "dense", "skipped only", "overflow"]))
+    if kind in ("clean", "shuffled"):
+        months, seed = draw(st.integers(1, 3)), draw(st.integers(0, 99))
+        series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=months, seed=seed)
+        if kind == "clean":
+            return series
+        header, *rows = series_csv(series).splitlines()
+        return parse_prices("\n".join([header, *draw(st.permutations(rows))]))
+    if kind == "dense":
+        return draw(_series())
+    if kind == "skipped only":
+        first = draw(st.integers(0, 1000))
+        months = range(first, first + draw(st.integers(1, 6)))
+        days = tuple(date(1990 + k // 12, k % 12 + 1, draw(st.integers(1, 28))) for k in months)
+        return PriceSeries(days, np.array([draw(st.floats(1e-3, 1e6)) for _ in days]))
+    days = tuple(date(2000, 3, day) for day in range(1, draw(st.integers(3, 9))))
+    closes = [draw(st.floats(1.0, 100.0)) for _ in days]
+    k = draw(st.integers(0, len(days) - 2))
+    closes[k : k + 2] = [1e10, 1e-300]
+    return PriceSeries(days, np.array(closes))
+
+
+class TestReportJson:
+    @given(
+        series=_compared_series(),
+        bounds=st.sampled_from([(TAIPEI_ALPHA, TAIPEI_BETA), (1 / 0.95, 1.30), (2, 2)]),
+        slack=st.sampled_from([0.0, VIOLATION_SLACK, 0.05]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_compared_reports(self, series, bounds, slack):
+        report = compare_report(series, *bounds, slack)
+        assert report_json(report) == reference_report_json(report)
+
+    @given(report=_hand_built_reports())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_hand_built_reports(self, report):
+        assert report_json(report) == reference_report_json(report)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -98,12 +100,49 @@ def test_closed_form_rejects_nonsquare_and_negative_candidates():
     assert sol.online_strategy == pytest.approx([1.0, 0.0], abs=1e-10)
 
 
-@pytest.mark.parametrize("H", [np.ones((2, 2, 2)), np.zeros((0, 0)), np.zeros((2, 0)), []])
-def test_closed_form_rejects_a_non_matrix(H):
+NOT_A_MATRIX = DimensionMismatch, "expected a nonempty 2-D matrix"
+
+
+@pytest.mark.parametrize(
+    "H, error, match",
+    [
+        pytest.param(np.ones((2, 2, 2)), *NOT_A_MATRIX, id="H0"),
+        pytest.param(np.zeros((0, 0)), *NOT_A_MATRIX, id="H1"),
+        pytest.param(np.zeros((2, 0)), *NOT_A_MATRIX, id="H2"),
+        pytest.param([], *NOT_A_MATRIX, id="H3"),
+        pytest.param([[1, 2], [1]], DimensionMismatch, "rows of different lengths", id="ragged"),
+        pytest.param([[1.0, 2.0], 3.0], DimensionMismatch, "rows of different lengths", id="row-and-scalar"),
+        pytest.param([[1 + 1j]], NonPositiveEntry, "real numbers", id="complex"),
+        pytest.param(np.array([[2.0, 1.0 + 0j], [1.0, 2.0]]), NonPositiveEntry, "real numbers", id="complex-array"),
+        pytest.param([["a", 1.0]], NonPositiveEntry, "real numbers", id="string"),
+    ],
+)
+def test_closed_form_rejects_a_non_matrix(H, error, match):
     # solve_game refuses the same input with the same error.
     for solve in (solve_game_closed_form, solve_game):
-        with pytest.raises(DimensionMismatch, match="expected a nonempty 2-D matrix"):
+        with pytest.raises(error, match=match):
             solve(H)
+
+
+def test_lp_route_validates_the_game_once():
+    # solve_game checks H once and hands the checked matrix to the LP route;
+    # solve_game_lp and solve_primal_dual still check what they are given.
+    dominated = [[1.0, 1.0], [0.5, 0.4]]
+    rectangular = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.4]]
+    with mock.patch.object(games, "as_payoff_matrix", wraps=games.as_payoff_matrix) as check:
+        for H in (dominated, rectangular):
+            check.reset_mock()
+            sol, route = solve_game(H)
+            assert route == "lp"
+            assert check.call_count == 1
+        for solve in (solve_game_lp, solve_primal_dual):
+            check.reset_mock()
+            solve(rectangular)
+            assert check.call_count == 1
+    want = solve_game_lp(rectangular)
+    assert (sol.value, sol.ratio, sol.unique) == (want.value, want.ratio, want.unique)
+    assert sol.online_strategy.tobytes() == want.online_strategy.tobytes()
+    assert sol.adversary_strategy.tobytes() == want.adversary_strategy.tobytes()
 
 
 def test_solve_game_prefers_closed_form():

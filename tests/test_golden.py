@@ -39,6 +39,8 @@ CASES = dict(
         ),
         *formats("downturns", ["downturns", "--alpha", "2", "--beta", "3", "--days", "4"], TEXT_CSV_JSON),
         *formats("backtest", ["backtest", str(INPUTS / "prices.csv"), "--preset", "taipei"], ALL_FORMATS),
+        # Several violations in a month, a skipped month and a factor that overflows to Infinity.
+        ("backtest_dense.json", ["backtest", str(INPUTS / "prices_dense.csv"), "--preset", "taipei", "--format", "json"]),
         ("synth.csv", ["synth", "--preset", "taipei", "--months", "2", "--seed", "7"]),
     ]
 )
