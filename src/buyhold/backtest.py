@@ -149,14 +149,29 @@ def parse_prices(text: str) -> PriceSeries:
     The header must be exactly ``date,close``; dates are ISO-8601 and
     are sorted (with a flag) if they arrive out of order, and closes are
     read by ``formatting.parse_decimal``.  Duplicate dates and
-    non-positive prices are rejected.
+    non-positive prices are rejected.  Raises TypeError unless ``text``
+    is a ``str``: ``load_prices`` reads a file, and
+    ``formatting.decode_utf8`` decodes bytes.
 
-    ``csv.reader`` tokenizes the text once, and the columns are then
-    converted and checked in bulk.  If any check fails, ``_parse_rows``
-    goes through the same records one by one and raises the error of the
-    first bad row.
+    Plain text (see ``_plain_cells``) is split into its cells with one
+    ``str.split``; any other text is tokenized once by ``csv.reader``.
+    Either way the columns are then converted and checked in bulk.  If
+    any check fails, ``_parse_rows`` goes through the ``csv.reader``
+    records one by one and raises the error of the first bad row.
     """
-    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    if not isinstance(text, str):
+        hint = ""
+        if isinstance(text, (bytes, bytearray, memoryview)):
+            hint = "; load_prices reads a file and formatting.decode_utf8 decodes bytes"
+        raise TypeError(f"parse_prices takes the CSV text as str, got {type(text).__name__}{hint}")
+    text = text.lstrip("\ufeff")
+    cells = _plain_cells(text)
+    if cells is not None:
+        try:
+            return _converted(cells[2::2], cells[3::2])
+        except (ValueError, PreconditionViolated, NonPositivePrice):
+            pass  # A bad field, a duplicate date or a close out of range: find its row.
+    reader = csv.reader(io.StringIO(text))
     try:
         # Blank records are kept, so record k is row k + 1.
         records = list(reader)
@@ -171,23 +186,69 @@ def parse_prices(text: str) -> PriceSeries:
     rows = list(filter(None, islice(records, header_line, None)))
     if not rows:
         raise ParseError("no data rows", row=header_line)
-    try:
-        # A row without exactly two fields makes zip raise ValueError.
-        day_cells, close_cells = zip(*rows, strict=True)
-        # parse_decimal's guard, applied to every cell at once.
-        joined = "".join(close_cells)
-        if not joined.isascii() or "_" in joined:
-            raise ValueError("a close outside the decimal grammar")
-        days = list(map(date.fromisoformat, map(str.strip, day_cells)))
-        closes = np.fromiter(map(float, close_cells), float, len(close_cells))
-        reordered = not all(map(operator.lt, days, islice(days, 1, None)))
-        if reordered:
-            order = sorted(range(len(days)), key=days.__getitem__)
-            days, closes = [days[k] for k in order], closes[order]
-        return PriceSeries(dates=tuple(days), closes=closes, reordered=reordered)
-    except (ValueError, PreconditionViolated, NonPositivePrice):
-        pass  # A bad field, a duplicate date or a close out of range: find its row.
+    # Plain cells are these records' cells, so they failed above already.
+    if cells is None:
+        try:
+            # A row without exactly two fields makes zip raise ValueError.
+            day_cells, close_cells = zip(*rows, strict=True)
+            return _converted(day_cells, close_cells)
+        except (ValueError, PreconditionViolated, NonPositivePrice):
+            pass
     _parse_rows(records, header_line)
+
+
+def _plain_cells(text: str) -> list[str] | None:
+    """The cells of plain ``text`` in reading order, or None if it is not plain.
+
+    Plain text has no ``"`` and no carriage return, exactly one comma on
+    every line, no blank line, no line of more than
+    ``csv.field_size_limit()`` UTF-8 bytes, the header ``date,close``
+    and at least one data row.  ``csv.reader`` reads such text as these
+    cells, two to a record.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    # In UTF-8 the bytes of "," and "\n" stand only for those characters,
+    # and surrogatepass encodes a lone surrogate instead of raising.
+    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    separators = np.flatnonzero((codes == 44) | (codes == 10))
+    kinds = codes[separators]
+    # The separators alternate, a comma first: one comma on every line.
+    if not (kinds[::2] == 44).all() or not (kinds[1::2] == 10).all():
+        return None
+    # A line's bytes bound its characters, and so each field's.
+    ends = np.concatenate(([-1], separators[1::2], [len(codes)]))
+    if np.diff(ends).max() - 1 > csv.field_size_limit():
+        return None
+    cells = text.replace("\n", ",").split(",")
+    if len(cells) % 2:
+        # After a final newline there is an empty cell, and nothing else.
+        if cells.pop():
+            return None
+    if len(cells) < 4 or cells[0].strip() != "date" or cells[1].strip() != "close":
+        return None
+    return cells
+
+
+def _converted(day_cells, close_cells) -> PriceSeries:
+    """The PriceSeries of a date column and a close column of cells.
+
+    Raises ValueError for a cell that does not convert,
+    PreconditionViolated for a repeated date and NonPositivePrice for a
+    close out of range, without naming the row.
+    """
+    # parse_decimal's guard, applied to every cell at once.
+    joined = "".join(close_cells)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError("a close outside the decimal grammar")
+    days = list(map(date.fromisoformat, map(str.strip, day_cells)))
+    closes = np.fromiter(map(float, close_cells), float, len(close_cells))
+    try:
+        return PriceSeries(dates=tuple(days), closes=closes)
+    except PreconditionViolated:
+        pass  # Dates out of order, or repeated: PriceSeries checks again once sorted.
+    order = sorted(range(len(days)), key=days.__getitem__)
+    return PriceSeries(dates=tuple([days[k] for k in order]), closes=closes[order], reordered=True)
 
 
 def _parse_rows(records: list[list[str]], header_line: int) -> NoReturn:
@@ -272,8 +333,9 @@ def compare_report(
 ) -> BacktestReport:
     """Run the balanced strategy (BAL) and dollar averaging (DA) on every month.
 
-    Raises ValueError unless ``alpha`` and ``beta`` are finite numbers
-    > 1 and ``slack`` is a finite number >= 0.  Months too short for a
+    Raises TypeError unless ``series`` is a PriceSeries, and ValueError
+    unless ``alpha`` and ``beta`` are finite numbers > 1 and ``slack`` is
+    a finite number >= 0.  Months too short for a
     plan are listed as skipped; the output ordering is fixed by window
     date, so identical inputs yield identical reports.  Shares are the weighted sum of the rates, the
     currency value converts them at the month's last close, and the
@@ -286,6 +348,7 @@ def compare_report(
     with its rates, so every number equals what a month-by-month loop
     over ``segment_monthly``'s windows gives.
     """
+    _check_type(series, PriceSeries, "compare_report")
     check_bounds(alpha, beta)
     check_slack(slack)
     alpha, beta = float(alpha), float(beta)
@@ -325,6 +388,12 @@ def compare_report(
             results.append((name, PlanResult(shares, shares * last, best / shares, violations)))
         reports.append(WindowReport(label=label, n=n, results=tuple(results)))
     return BacktestReport(alpha=alpha, beta=beta, windows=tuple(reports), skipped=tuple(skipped))
+
+
+def _check_type(value, kind: type, name: str) -> None:
+    """Raise TypeError, naming ``kind``, unless ``value`` is one."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} takes a {kind.__name__}, got {type(value).__name__}")
 
 
 def window_end(start: date, months: int) -> date:
@@ -458,7 +527,9 @@ def report_json(report: BacktestReport) -> str:
     depth, and a violations tuple that a month's strategies share is
     written once.  Floats are spelled by ``formatting.json_float``,
     strings by ``encode_basestring_ascii`` and ints by ``int.__repr__``.
+    Raises TypeError unless ``report`` is a BacktestReport.
     """
+    _check_type(report, BacktestReport, "report_json")
     windows = _json_array(list(map(_window_json, report.windows)), "  ")
     skipped = _json_array(
         [
@@ -486,15 +557,21 @@ def report_rows(report: BacktestReport) -> list[tuple]:
 
 
 def report_csv(report: BacktestReport) -> str:
-    """Flatten a report to one CSV row per (window, strategy)."""
+    """Flatten a report to one CSV row per (window, strategy).
+
+    Raises TypeError unless ``report`` is a BacktestReport.
+    """
+    _check_type(report, BacktestReport, "report_csv")
     return render(report_rows(report), "csv")
 
 
 def report_svg(report: BacktestReport) -> str:
     """Line chart of realized ratios per window: BAL solid, DA dashed.
 
-    Raises PreconditionViolated if the report has no window to plot.
+    Raises TypeError unless ``report`` is a BacktestReport, and
+    PreconditionViolated if it has no window to plot.
     """
+    _check_type(report, BacktestReport, "report_svg")
     if not report.windows:
         raise PreconditionViolated("no month has the two trading days a plan needs, so nothing to plot")
     bal, da = zip(*[[r.realized_ratio for _, r in window.results] for window in report.windows])

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buyhold import (
@@ -64,7 +64,10 @@ BAD_BOUNDS = [
 
 def reference_parse_prices(text: str) -> PriceSeries:
     reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
-    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    try:
+        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    except csv.Error as exc:
+        raise ParseError(f"unreadable CSV: {exc}", row=reader.line_num) from None
     if not rows:
         raise ParseError("empty input", row=1)
     header_line, header = rows[0]
@@ -277,14 +280,44 @@ class TestParsing:
         assert parse_prices(decode_utf8(text.encode())).dates == parse_prices(text).dates
 
     def test_text_is_tokenized_once(self):
-        # The row reader that names a bad row goes through the same records.
+        # Plain text is split without csv.reader; other text, and a plain
+        # text with a bad row, which is named from the records, take one call.
         with mock.patch.object(backtest.csv, "reader", wraps=csv.reader) as reader:
             parse_prices("date,close\n1997-01-02,100\n1997-01-03,101\n")
-            assert reader.call_count == 1
-            with pytest.raises(ParseError) as err:
-                parse_prices("date,close\n1997-01-02,100\n\n1997-01-03,x\n")
-            assert reader.call_count == 2
-        assert (err.value.row, err.value.column) == (4, 2)
+            parse_prices("date,close\n1997-01-02,100\n1997-01-03,101")
+            assert reader.call_count == 0
+            for text in ['date,close\n1997-01-02,"100"\n', "date,close\r\n1997-01-02,100\r\n"]:
+                reader.reset_mock()
+                assert parse_prices(text).closes.tolist() == [100.0]
+                assert reader.call_count == 1
+            for text, where in [
+                ("date,close\n1997-01-02,100\n1997-01-03,x\n", (3, 2)),
+                ("date,close\n1997-01-02,100\n\n1997-01-03,x\n", (4, 2)),
+            ]:
+                reader.reset_mock()
+                with pytest.raises(ParseError) as err:
+                    parse_prices(text)
+                assert reader.call_count == 1
+                assert (err.value.row, err.value.column) == where
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: parse_prices(None), "parse_prices takes the CSV text as str, got NoneType"),
+            (lambda: parse_prices(b"date,close\n1997-01-02,1\n"), "got bytes; load_prices reads a file and "),
+            (lambda: parse_prices(bytearray(b"date,close\n")), "formatting.decode_utf8 decodes bytes"),
+            (lambda: compare_report(None, 2, 2), "compare_report takes a PriceSeries, got NoneType"),
+            (lambda: compare_report([1, 2], 2, 2), "compare_report takes a PriceSeries, got list"),
+            (lambda: report_json(None), "report_json takes a BacktestReport, got NoneType"),
+            (lambda: report_csv(None), "report_csv takes a BacktestReport, got NoneType"),
+            (lambda: report_svg(None), "report_svg takes a BacktestReport, got NoneType"),
+        ],
+        ids=["text-none", "text-bytes", "text-bytearray", "series-none", "series-list", "json", "csv", "svg"],
+    )
+    def test_argument_of_the_wrong_type_rejected(self, call, message):
+        with pytest.raises(TypeError) as err:
+            call()
+        assert message in str(err.value)
 
     def test_series_csv_roundtrip(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=2, seed=9)
@@ -677,9 +710,54 @@ _BAD_DATES = ["2000-13-01", "2001-02-29", "not-a-date", "", "2000/01/03", "٢000
 _BAD_CLOSES = ["1_0", "١", "0x10", "inf", "-inf", "nan", "1e999", "", "1e", "abc", " 1", "1.2.3"]
 
 
+#: Edits that take a plain text (see backtest._plain_cells) to its edge, or past it.
+_PLAIN_EDITS = ["cancel", "no comma", "two commas", "blank", "spaces", "control", "surrogate", "long"]
+
+
+def _edited(draw, lines, edit):
+    """Apply ``edit`` to the data ``lines`` of a plain text, in place."""
+    k = draw(st.integers(1, len(lines) - 1))
+    if edit == "cancel" and k + 1 < len(lines):
+        # d1,c1,d2 then c2: as many commas as newlines, but not one per line.
+        day, _, lines[k + 1] = lines[k + 1].partition(",")
+        lines[k] += "," + day
+    elif edit == "no comma":
+        lines[k] = lines[k].replace(",", draw(st.sampled_from(["", " ", ";"])), 1)
+    elif edit == "two commas":
+        lines[k] += draw(st.sampled_from([",", ",x", ", 1"]))
+    elif edit in ("blank", "spaces"):
+        line = "" if edit == "blank" else draw(st.sampled_from([" ", "\t", " \t "]))
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    elif edit in ("control", "surrogate"):
+        chars = ["\x00", "\x0b", "\x85", "\u2028"] if edit == "control" else ["\ud800", "\udfff"]
+        cells = lines[k].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        at = draw(st.integers(0, len(cells[j])))
+        cells[j] = cells[j][:at] + draw(st.sampled_from(chars)) + cells[j][at:]
+        lines[k] = ",".join(cells)
+    elif edit == "long":
+        # A line, a close or a whole line of one field, of
+        # csv.field_size_limit() characters or one more.
+        length = csv.field_size_limit() + draw(st.integers(0, 1))
+        shape = draw(st.sampled_from(["line", "close", "one field"]))
+        if shape == "line":
+            lines[k] += " " * (length - len(lines[k]))
+        elif shape == "close":
+            day, _, close = lines[k].partition(",")
+            lines[k] = day + "," + close.rjust(length)
+        else:
+            lines[k] = "1" * length
+
+
 @st.composite
-def _price_texts(draw):
-    """A date,close file, maybe shuffled and with one defect, in one of the layouts csv reads."""
+def _price_texts(draw, plain=False):
+    """A date,close file, maybe shuffled and with one defect, in one of the layouts csv reads.
+
+    With ``plain`` the layout is the one parse_prices splits without
+    csv.reader: no quotes, no carriage returns and no blank lines.  Then
+    one edit from ``_PLAIN_EDITS`` may take it to the edge of that
+    layout or past it.
+    """
     n = draw(st.integers(1, 30))
     start = draw(st.dates(min_value=date(1990, 1, 1), max_value=date(2030, 12, 31)))
     days = _dated_rows(draw, n, start, st.integers(1, 40))
@@ -701,16 +779,39 @@ def _price_texts(draw):
         rows[k][0] = rows[draw(st.integers(0, len(rows) - 1))][0]
     elif defect == "fields":
         rows[k].append(draw(st.sampled_from(["x", ""])))
-    quoted, padded = draw(st.booleans()), draw(st.booleans())
+    quoted, padded = not plain and draw(st.booleans()), draw(st.booleans())
     lines = ["date,close"]
     for row in rows:
         cells = [f'"{cell}"' if quoted else f" {cell} " if padded else cell for cell in row]
         lines.append(",".join(cells))
-    for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(1, len(lines))), "")
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    if plain:
+        _edited(draw, lines, draw(st.sampled_from([None] * len(_PLAIN_EDITS) + _PLAIN_EDITS)))
+        newline = "\n"
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(1, len(lines))), "")
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
     return ("﻿" if draw(st.booleans()) else "") + text
+
+
+_LIMIT = csv.field_size_limit()
+#: Texts just past the edge of plain, and plain ones at it, that every run checks.
+_EDGE_TEXTS = [
+    "date,close\n1997-01-02,1,1997-01-03\n2\n",
+    "date,close\n1997-01-02,1\n1997-01-03,2\n",
+    "date,close\n1997-01-02 1\n1997-01-03,2,3\n",
+    "date,close\n1997-01-02,1\n1997-01-03",
+    "date,close\n1997-01-02,1\n1997-01-03,2",
+    "\ufeffdate,close\n1997-01-02,1\n",
+    "date,close\n\n1997-01-02,1\n",
+    "date,close\n1997-01-02,1\n \t\n",
+    *(f"date,close\n1997-01-02{c},1{c}\n1997-01-03,{c}2\n" for c in ["\x00", "\x0b", "\x85", "\u2028"]),
+    "date,close\n1997-01-02\ud800,1\n",
+    "date,close\n1997-01-02,1\ud800\n",
+    # Lines of the limit and one more, then closes of the limit and one more.
+    *(f"date,close\n1997-01-02,{'1'.rjust(_LIMIT - 11 + extra)}\n" for extra in (0, 1, 11, 12)),
+]
 
 
 def _parse_outcome(parse, text):
@@ -739,16 +840,26 @@ class TestBulkMatchesReference:
     def test_parse_prices(self):
         texts = Counter()
 
-        @given(text=_price_texts())
+        @given(text=st.one_of(_price_texts(), _price_texts(plain=True)))
         @settings(max_examples=150, deadline=None)
         def check(text):
             texts["all"] += 1
-            assert _parse_outcome(parse_prices, text) == _parse_outcome(reference_parse_prices, text)
+            before = reader.call_count
+            got = _parse_outcome(parse_prices, text)
+            texts["split"] += reader.call_count == before
+            assert got == _parse_outcome(reference_parse_prices, text)
 
-        with mock.patch.object(backtest, "_parse_rows", wraps=backtest._parse_rows) as row_reader:
+        for text in _EDGE_TEXTS:
+            check = example(text=text)(check)
+        with (
+            mock.patch.object(backtest, "_parse_rows", wraps=backtest._parse_rows) as row_reader,
+            mock.patch.object(backtest.csv, "reader", wraps=csv.reader) as reader,
+        ):
             check()
-        # Both the bulk path and the row reader it falls back to were taken.
+        # The bulk path and the row reader it falls back to were both taken,
+        # and so was the split of plain text without csv.reader.
         assert 0 < row_reader.call_count < texts["all"]
+        assert texts["split"] >= texts["all"] // 10, texts
 
     @given(
         series=_series(),

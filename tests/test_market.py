@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buyhold import (
@@ -57,6 +57,24 @@ def times_kernel_inverse(v, alpha, beta):
     out[1:] -= beta * v[:-1]
     out[:-1] -= alpha * v[1:]
     return out / (alpha * beta - 1.0)
+
+
+def inverts(K, K_inv):
+    """True iff ``|K @ K_inv - I| <= 8 eps |K| @ |K_inv|``, entry by entry.
+
+    Rounding ``K``'s entries and the few operations of each ``K_inv``
+    entry moves each product by a few eps of ``|K| @ |K_inv|``, so the
+    bound holds however ill-conditioned ``K`` is.  A fixed bound cannot:
+    with alpha and beta a few ulps above 1, cond(K) is about 7e15 and
+    ``K @ K_inv - I`` reaches 0.5 even for the exact inverse rounded to
+    floats.  Over 20,000 draws of alpha, beta in (1, 10] (a quarter of
+    them within 50 ulps of 1) and n <= 60 the worst entry was 1.6 eps,
+    so 8 leaves a margin of 5.  The wrong inverses that
+    ``test_check_rejects_a_wrong_inverse`` builds reach 0.2 to 1 times
+    ``|K| @ |K_inv|``.
+    """
+    residual = np.abs(K @ K_inv - np.eye(len(K)))
+    return bool((residual <= 8 * np.finfo(float).eps * (np.abs(K) @ np.abs(K_inv))).all())
 
 
 def admissible(params, rates, rel_tol=1e-12):
@@ -585,11 +603,34 @@ class TestStaticRatio:
 
 class TestTridiagonalInverse:
     @given(alpha=bounds, beta=bounds, n=small_horizons)
+    @example(alpha=1.0000000000000004, beta=1.0000000000000002, n=2)
     @settings(max_examples=60, deadline=None)
     def test_inverts_the_dense_kernel(self, alpha, beta, n):
         K = payoff_matrix_K(MarketParams(alpha, beta, n))
         K_inv = np.array([times_kernel_inverse(row, alpha, beta) for row in np.eye(n)])
-        assert np.abs(K @ K_inv - np.eye(n)).max() <= 1e-9
+        assert inverts(K, K_inv)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, n, wrong",
+        [
+            (1.0000000000000004, 1.0000000000000002, 2, "super-diagonal sign"),
+            (1.0000000000000004, 1.0000000000000002, 40, "super-diagonal sign"),
+            (TAIPEI_ALPHA, TAIPEI_BETA, 21, "super-diagonal sign"),
+            (2.0, 3.0, 5, "bounds swapped"),
+            (1.000001, 1.000001, 60, "corners"),
+        ],
+    )
+    def test_check_rejects_a_wrong_inverse(self, alpha, beta, n, wrong):
+        K = payoff_matrix_K(MarketParams(alpha, beta, n))
+        K_inv = np.array([times_kernel_inverse(row, alpha, beta) for row in np.eye(n)])
+        assert inverts(K, K_inv)
+        if wrong == "super-diagonal sign":
+            K_inv[np.arange(n - 1), np.arange(1, n)] *= -1.0
+        elif wrong == "bounds swapped":
+            K_inv = np.array([times_kernel_inverse(row, beta, alpha) for row in np.eye(n)])
+        else:
+            K_inv[[0, -1], [0, -1]] = K_inv[1, 1]
+        assert not inverts(K, K_inv)
 
     @pytest.mark.parametrize("n", [2, 3, 21, 252, 10**4, 10**5])
     def test_normalized_column_sums_are_balanced_weights(self, n):
