@@ -34,6 +34,7 @@ from .params import (
     bal_weight_parts,
     check_bounds,
     check_horizon,
+    check_type,
     da_ratio,
     downturn_rows,
     preset_bounds,
@@ -74,6 +75,7 @@ def evaluate_static(weights, rates) -> float:
 
 def downturns(params: MarketParams) -> list[np.ndarray]:
     """The ``n`` worst-case rate sequences of ``downturn_rows``, as arrays."""
+    check_type(params, MarketParams, "downturns")
     return [np.array(row) for row in downturn_rows(params)]
 
 
@@ -93,6 +95,7 @@ def payoff_matrix_K(params: MarketParams) -> np.ndarray:
     entry, ``alpha**-(n-1)`` or ``beta**-(n-1)``, would round to 0; the
     message names the largest horizon whose entries stay positive.
     """
+    check_type(params, MarketParams, "payoff_matrix_K")
     n = params.n
     gap = np.arange(n - 1, -n, -1)
     # One power with exponent -|i - j|, so no entry can overflow.
@@ -122,6 +125,7 @@ def _last_positive_power(base: float) -> int:
 
 def det_K_closed_form(params: MarketParams) -> float:
     """Determinant of the downturn payoff kernel: (1 - 1/(alpha*beta))**(n-1)."""
+    check_type(params, MarketParams, "det_K_closed_form")
     a, b = params.alpha, params.beta
     da, db = a - 1.0, b - 1.0
     if math.isfinite(a * b):
@@ -141,6 +145,7 @@ def bal_weights(params: MarketParams) -> np.ndarray:
     out over the ``n`` days.  All components are strictly positive and
     sum to 1.
     """
+    check_type(params, MarketParams, "bal_weights")
     first, interior, last = bal_weight_parts(params)
     w = np.full(params.n, interior)
     w[0] = first
@@ -153,6 +158,7 @@ def bal_adversary(params: MarketParams) -> np.ndarray:
 
     Equivalently, the balanced weights with alpha and beta exchanged.
     """
+    check_type(params, MarketParams, "bal_adversary")
     c = bal_weights(params)
     c[0], c[-1] = c[-1], c[0]
     return c
@@ -183,6 +189,7 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
     Raises ValueError if a weight is not finite or is negative, or if
     the strategy accumulates nothing on some downturn.
     """
+    check_type(params, MarketParams, "static_ratio_via_downturns")
     a = np.asarray(weights, dtype=float).ravel()
     if a.shape[0] != params.n:
         raise LengthMismatch(f"{a.shape[0]} weights for an n = {params.n} horizon")

@@ -7,7 +7,8 @@ downturn sequences are stepwise products.  This module holds them
 without importing numpy or ``dataclasses``, so the ``weights``,
 ``sweep`` and ``downturns`` subcommands start without either;
 ``market`` re-exports the names and builds the array-valued quantities
-on top.
+on top.  Every function here or in ``market`` that takes a
+``MarketParams`` raises TypeError for anything else (``check_type``).
 """
 
 import math
@@ -48,6 +49,12 @@ def check_slack(slack) -> None:
         valid = False
     if not valid:
         raise ValueError(f"slack must be a finite number >= 0, got {slack}")
+
+
+def check_type(value, kind: type, name: str) -> None:
+    """Raise TypeError, naming ``kind``, unless ``value`` is one: ``name`` takes a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} takes a {kind.__name__}, got {type(value).__name__}")
 
 
 def check_horizon(n) -> None:
@@ -130,6 +137,7 @@ def downturn_rows(params: MarketParams) -> list[list[float]]:
     when a rate leaves the float range, rising to ``inf`` or falling to
     ``0``.
     """
+    check_type(params, MarketParams, "downturn_rows")
     n, alpha, beta = params.n, float(params.alpha), float(params.beta)
     rise = list(accumulate(repeat(alpha, n), operator.mul))
     # The sequence that peaks on day p (0-based) is the rise up to p, then
@@ -152,6 +160,7 @@ def bal_weight_parts(params: MarketParams) -> tuple[float, float, float]:
     of the ``n - 2`` interior days ``(alpha-1)*(beta-1)/D``, with the
     normalizer ``D = n*alpha*beta - (n-1)*(alpha+beta) + (n-2)``.
     """
+    check_type(params, MarketParams, "bal_weight_parts")
     da, db = params.alpha - 1.0, params.beta - 1.0
     # D in a cancellation-free form: (alpha-1) + (beta-1) + n*(alpha-1)*(beta-1).
     denom = da + db + params.n * da * db
@@ -169,6 +178,7 @@ def bal_ratio(params: MarketParams) -> float:
     Equals ``(n*alpha*beta - (n-1)*(alpha+beta) + (n-2))/(alpha*beta - 1)``,
     the smallest ratio any static strategy can achieve.
     """
+    check_type(params, MarketParams, "bal_ratio")
     return _bal_ratio(params.alpha, params.beta, params.n)
 
 
@@ -179,6 +189,7 @@ def da_ratio(params: MarketParams) -> float:
     the two terms are the worst cases on the all-rise and all-fall
     downturns, the only candidates by concavity of the column sums.
     """
+    check_type(params, MarketParams, "da_ratio")
     return _da_ratio(params.alpha, params.beta, params.n)
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import pickle
 from collections import Counter
 from datetime import date, timedelta
 from itertools import groupby
@@ -280,19 +281,23 @@ class TestParsing:
         assert parse_prices(decode_utf8(text.encode())).dates == parse_prices(text).dates
 
     def test_text_is_tokenized_once(self):
-        # Plain text is split without csv.reader; other text, and a plain
-        # text with a bad row, which is named from the records, take one call.
+        # Plain text, with LF or CRLF line ends, is split without csv.reader;
+        # other text, a lone carriage return included, and a plain text with
+        # a bad row, which is named from the records, take one call.
         with mock.patch.object(backtest.csv, "reader", wraps=csv.reader) as reader:
             parse_prices("date,close\n1997-01-02,100\n1997-01-03,101\n")
             parse_prices("date,close\n1997-01-02,100\n1997-01-03,101")
+            assert parse_prices("date,close\r\n1997-01-02,100\r\n").closes.tolist() == [100.0]
             assert reader.call_count == 0
-            for text in ['date,close\n1997-01-02,"100"\n', "date,close\r\n1997-01-02,100\r\n"]:
+            for text in ['date,close\n1997-01-02,"100"\n', "date,close\r\n1997-01-02,100\r"]:
                 reader.reset_mock()
                 assert parse_prices(text).closes.tolist() == [100.0]
                 assert reader.call_count == 1
             for text, where in [
                 ("date,close\n1997-01-02,100\n1997-01-03,x\n", (3, 2)),
                 ("date,close\n1997-01-02,100\n\n1997-01-03,x\n", (4, 2)),
+                ("date,close\r\n1997-01-02,100\r\n1997-01-03,x\r\n", (3, 2)),
+                ("date,close\r\n1997-01-02,100\r1997-01-03,101\r\n", (2, None)),
             ]:
                 reader.reset_mock()
                 with pytest.raises(ParseError) as err:
@@ -711,7 +716,7 @@ _BAD_CLOSES = ["1_0", "١", "0x10", "inf", "-inf", "nan", "1e999", "", "1e", "ab
 
 
 #: Edits that take a plain text (see backtest._plain_cells) to its edge, or past it.
-_PLAIN_EDITS = ["cancel", "no comma", "two commas", "blank", "spaces", "control", "surrogate", "long"]
+_PLAIN_EDITS = ["cancel", "no comma", "two commas", "blank", "spaces", "control", "surrogate", "long", "lone cr"]
 
 
 def _edited(draw, lines, edit):
@@ -747,6 +752,10 @@ def _edited(draw, lines, edit):
             lines[k] = day + "," + close.rjust(length)
         else:
             lines[k] = "1" * length
+    elif edit == "lone cr":
+        # Anywhere in a line, at its end too, where a newline may follow it.
+        at = draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + "\r" + lines[k][at:]
 
 
 @st.composite
@@ -754,8 +763,8 @@ def _price_texts(draw, plain=False):
     """A date,close file, maybe shuffled and with one defect, in one of the layouts csv reads.
 
     With ``plain`` the layout is the one parse_prices splits without
-    csv.reader: no quotes, no carriage returns and no blank lines.  Then
-    one edit from ``_PLAIN_EDITS`` may take it to the edge of that
+    csv.reader: no quotes and no blank lines, with LF or CRLF line ends.
+    Then one edit from ``_PLAIN_EDITS`` may take it to the edge of that
     layout or past it.
     """
     n = draw(st.integers(1, 30))
@@ -786,11 +795,10 @@ def _price_texts(draw, plain=False):
         lines.append(",".join(cells))
     if plain:
         _edited(draw, lines, draw(st.sampled_from([None] * len(_PLAIN_EDITS) + _PLAIN_EDITS)))
-        newline = "\n"
     else:
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(1, len(lines))), "")
-        newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
     return ("﻿" if draw(st.booleans()) else "") + text
 
@@ -806,6 +814,17 @@ _EDGE_TEXTS = [
     "\ufeffdate,close\n1997-01-02,1\n",
     "date,close\n\n1997-01-02,1\n",
     "date,close\n1997-01-02,1\n \t\n",
+    # CRLF line ends, and carriage returns that are not followed by a newline.
+    "date,close\r\n1997-01-02,1\r\n1997-01-03,2",
+    "date,close\r\n1997-01-02,1\r",
+    "date,close\r\n\r\n1997-01-02,1\r\n",
+    "date,close\r\r\n1997-01-02,1\r\n",
+    "date,close\n1997-01-02,1\r1997-01-03,2\n",
+    "date,close\n1997-01-02,1\r0\n",
+    # At a cell's edge, where strip and float would drop it.
+    "date,close\n1997-01-02,\r1\n",
+    "date,close\r\n1997-01-02\r,1\r\n",
+    "date,close\r\n1997-01-\r02,1\r\n",
     *(f"date,close\n1997-01-02{c},1{c}\n1997-01-03,{c}2\n" for c in ["\x00", "\x0b", "\x85", "\u2028"]),
     "date,close\n1997-01-02\ud800,1\n",
     "date,close\n1997-01-02,1\ud800\n",
@@ -867,6 +886,8 @@ class TestBulkMatchesReference:
         slack=st.sampled_from([0.0, VIOLATION_SLACK, 0.05]),
     )
     @settings(max_examples=100, deadline=None)
+    # Every month skipped, and a step flagged between two of them.
+    @example(series=PriceSeries((date(2000, 1, 3), date(2000, 2, 3)), np.array([1.0, 100.0])), bounds=(2, 2), slack=0.0)
     def test_compare_report(self, series, bounds, slack):
         want = reference_compare_report(series, *bounds, slack)
         assert repr(compare_report(series, *bounds, slack)) == repr(want)
@@ -876,6 +897,61 @@ class TestBulkMatchesReference:
         assert [(w.label, w.dates, w.closes.tolist()) for w in windows] == [
             (w.label, w.dates, w.closes.tolist()) for w in ref_windows
         ]
+
+    @pytest.mark.parametrize("kind", ["synthetic", "dense"])
+    def test_compare_report_bit_for_bit_on_long_series(self, kind):
+        # Ten years of synthetic months, where many months share a length,
+        # and violation-dense months of every length from 2 to 23, three
+        # of each, so lengths of 16 and more cross the block of BLAS's dot.
+        # Shares from one matrix-vector product per length differ in the
+        # last bit on both.
+        if kind == "synthetic":
+            alpha, beta = TAIPEI_ALPHA, TAIPEI_BETA
+            series = synthetic_prices(alpha, beta, months=120, seed=3)
+        else:
+            alpha, beta = 1 / 0.95, 1.30
+            lengths = np.repeat(range(2, 24), 3)
+            days = [date(2001 + k // 12, k % 12 + 1, 1 + i) for k, n in enumerate(lengths) for i in range(n)]
+            limit = 2.0 * min(np.log(alpha), np.log(beta))
+            moves = np.random.default_rng(23).uniform(-limit, limit, size=len(days))
+            series = PriceSeries(tuple(days), 50.0 * np.exp(np.cumsum(moves)))
+        counts = Counter(window.n for window in compare_report(series, alpha, beta).windows)
+        assert max(counts.values()) >= 3 and max(counts) >= 16
+        for slack in (0.0, VIOLATION_SLACK, 0.05):
+            want = reference_compare_report(series, alpha, beta, slack)
+            assert repr(compare_report(series, alpha, beta, slack)) == repr(want)
+
+
+#: The three result records, each with its repr as a dataclass wrote it.
+_RECORDS = [
+    (Violation(day=1, factor=0.5, lo=0.5, hi=2.0), "Violation(day=1, factor=0.5, lo=0.5, hi=2.0)"),
+    (
+        PlanResult(0.25, 1.5, 1.125, (Violation(2, math.inf, 0.5, 2.0),)),
+        "PlanResult(shares=0.25, currency_value=1.5, realized_ratio=1.125, "
+        "violations=(Violation(day=2, factor=inf, lo=0.5, hi=2.0),))",
+    ),
+    (
+        WindowReport("1997-01", 2, (("BAL", PlanResult(1.0, 2.0, 1.0, ())),)),
+        "WindowReport(label='1997-01', n=2, results=(('BAL', PlanResult(shares=1.0, "
+        "currency_value=2.0, realized_ratio=1.0, violations=())),))",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=["violation", "plan-result", "window-report"])
+class TestRecords:
+    def test_repr_is_pinned(self, record, text):
+        assert repr(record) == text
+
+    def test_fields_cannot_change(self, record, text):
+        for name in (*type(record).__annotations__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 3)
+        assert repr(record) == text
+
+    def test_pickle_round_trip(self, record, text):
+        clone = pickle.loads(pickle.dumps(record))
+        assert type(clone) is type(record) and clone == record and repr(clone) == text
 
 
 #: Floats whose spelling is easy to get wrong: signed zeros, subnormals,

@@ -27,7 +27,7 @@ from buyhold import (
     solve_game_closed_form,
     static_ratio_via_downturns,
 )
-from buyhold.market import CIRCUIT_BREAKERS, _times_kernel, bal_weight_parts
+from buyhold.market import CIRCUIT_BREAKERS, _times_kernel, bal_weight_parts, downturn_rows
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
@@ -171,6 +171,28 @@ class TestMarketParams:
             assert type(clone.n) is type(n)
             with pytest.raises(AttributeError):
                 clone.n = 3
+
+    @pytest.mark.parametrize(
+        "function, args, got",
+        [
+            (bal_ratio, (None,), "NoneType"),
+            (da_ratio, (None,), "NoneType"),
+            (bal_weight_parts, (None,), "NoneType"),
+            (bal_weights, (None,), "NoneType"),
+            (bal_adversary, (None,), "NoneType"),
+            (downturns, (None,), "NoneType"),
+            (downturn_rows, (None,), "NoneType"),
+            (payoff_matrix_K, (None,), "NoneType"),
+            (det_K_closed_form, (None,), "NoneType"),
+            (static_ratio_via_downturns, ([0.5, 0.5], None), "NoneType"),
+            (bal_ratio, ((2.0, 2.0, 3),), "tuple"),
+            (payoff_matrix_K, ({"alpha": 2.0, "beta": 2.0, "n": 3},), "dict"),
+        ],
+    )
+    def test_params_of_the_wrong_type_rejected(self, function, args, got):
+        with pytest.raises(TypeError) as err:
+            function(*args)
+        assert str(err.value) == f"{function.__name__} takes a MarketParams, got {got}"
 
     def test_presets_match_published_limits(self):
         expected = {

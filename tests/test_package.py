@@ -97,3 +97,23 @@ def _unreferenced_public_names(package: Path) -> list[str]:
 def test_every_public_name_is_used_or_exported():
     # A public name the library neither calls nor exports is code kept only for its tests.
     assert _unreferenced_public_names(Path(buyhold.__file__).resolve().parent) == []
+
+
+def test_first_backtest_pass_imports_nothing():
+    # Every backtest process pays for a module imported on first use:
+    # np.unique imports numpy.ma, about 15 ms on numpy 2.4.
+    script = (
+        "import sys\n"
+        "import buyhold as b\n"
+        "from buyhold import backtest\n"
+        "before = set(sys.modules)\n"
+        "series = b.parse_prices('date,close\\n2000-01-03,2\\n2000-01-04,1\\n2000-02-01,1\\n2000-02-02,1\\n')\n"
+        "report = b.compare_report(series, 1.5, 1.5)\n"
+        "assert report.windows[0].results[0][1].violations\n"
+        "b.report_json(report), b.report_csv(report), b.report_svg(report)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(buyhold.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
