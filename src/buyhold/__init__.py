@@ -39,8 +39,6 @@ _EXPORTS = {
         "SingularMatrixError",
     ),
     "games": (
-        "FEASIBILITY_TOL",
-        "OPTIMALITY_TOL",
         "check_extreme_point",
         "solve_game",
         "solve_game_closed_form",

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError, PreconditionViolated
 from .formatting import decode_utf8, json_float, parse_decimal, render
 from .market import bal_weights, da_weights
-from .params import MarketParams, check_bounds, check_slack, check_type
+from .params import MarketParams, check_bounds, check_integer, check_number, check_type
 from .svgchart import line_chart
 
 #: Default relative slack when flagging daily bound violations.
@@ -58,47 +58,18 @@ class PriceSeries:
     reordered: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "closes", _checked_closes(self.dates, self.closes))
+        dates, closes = self.dates, np.asarray(self.closes, dtype=float)
+        if closes.shape != (len(dates),):
+            raise LengthMismatch(f"{len(dates)} dates vs closes of shape {closes.shape}")
+        if not all(map(operator.lt, dates, islice(dates, 1, None))):
+            raise PreconditionViolated("dates must strictly increase")
+        if closes.size and not (closes.min() >= sys.float_info.min and closes.max() < math.inf):
+            raise NonPositivePrice("every close must be a finite number > 0 in the normal float range")
+        closes.flags.writeable = False
+        object.__setattr__(self, "closes", closes)
 
     def __len__(self) -> int:
         return len(self.dates)
-
-
-def _checked_closes(dates, closes) -> np.ndarray:
-    """``closes`` as a read-only float vector, after the checks PriceSeries documents."""
-    closes = np.asarray(closes, dtype=float)
-    if closes.shape != (len(dates),):
-        raise LengthMismatch(f"{len(dates)} dates vs closes of shape {closes.shape}")
-    if not all(map(operator.lt, dates, islice(dates, 1, None))):
-        raise PreconditionViolated("dates must strictly increase")
-    if closes.size and not (closes.min() >= sys.float_info.min and closes.max() < math.inf):
-        raise NonPositivePrice("every close must be a finite number > 0 in the normal float range")
-    closes.flags.writeable = False
-    return closes
-
-
-@dataclass(frozen=True)
-class PlanWindow:
-    """A contiguous one-month slice of a price series.
-
-    Checked as a PriceSeries is: LengthMismatch, PreconditionViolated
-    and NonPositivePrice for the same faults.
-    """
-
-    label: str
-    dates: tuple[date, ...]
-    closes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "closes", _checked_closes(self.dates, self.closes))
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-    @property
-    def rates(self) -> np.ndarray:
-        """Exchange rates: shares per unit of capital, 1/price."""
-        return 1.0 / self.closes
 
 
 class Violation(NamedTuple):
@@ -319,15 +290,14 @@ def _month_spans(dates) -> tuple[list[tuple[str, int, int]], list[tuple[str, str
 def segment_monthly(series: PriceSeries):
     """Split a series into calendar-month windows.
 
-    Returns ``(windows, skipped)`` where skipped lists ``(label,
+    Returns ``(windows, skipped)``: each window is the PriceSeries of
+    one month with a plan, in date order, and skipped lists ``(label,
     reason)`` for months with a single trading day, on which every
     strategy is forced (a plan needs ``n >= 2``, see MarketParams).
     """
     spans, skipped = _month_spans(series.dates)
     # PriceSeries.closes is read-only, so the windows share it.
-    windows = [
-        PlanWindow(label, series.dates[start:stop], series.closes[start:stop]) for label, start, stop in spans
-    ]
+    windows = [PriceSeries(series.dates[start:stop], series.closes[start:stop]) for _, start, stop in spans]
     return windows, skipped
 
 
@@ -355,7 +325,7 @@ def compare_report(
     """
     check_type(series, PriceSeries, "compare_report")
     check_bounds(alpha, beta)
-    check_slack(slack)
+    check_number(slack, "slack", ">=", 0)
     alpha, beta = float(alpha), float(beta)
     spans, skipped = _month_spans(series.dates)
     starts = np.array([start for _, start, _ in spans], dtype=np.intp)
@@ -421,12 +391,7 @@ def window_end(start: date, months: int) -> date:
     ``operator.index``) >= 1, the window ends by ``date.max``, in
     December 9999, and it holds a weekday from ``start`` on.
     """
-    try:
-        valid = operator.index(months) >= 1
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"months must be an integer >= 1, got {months!r}")
+    check_integer(months, "months", 1)
     # Calendar months counted from January of year 0.
     last = start.year * 12 + start.month - 1 + months - 1
     if last > date.max.year * 12 + date.max.month - 1:
@@ -460,18 +425,8 @@ def synthetic_prices(
     """
     check_bounds(alpha, beta)
     end = window_end(start, months)
-    try:
-        valid = initial_price > 0.0 and math.isfinite(initial_price)
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"initial_price must be a finite number > 0, got {initial_price!r}")
-    try:
-        valid = operator.index(seed) >= 0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    check_number(initial_price, "initial_price", ">", 0)
+    check_integer(seed, "seed", 0)
     days = range((end - start).days + 1)
     dates = [day for day in (start + timedelta(days=k) for k in days) if day.weekday() < 5]
     rng = np.random.default_rng(seed)

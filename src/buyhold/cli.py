@@ -21,7 +21,7 @@ from .params import (
     bal_ratio,
     bal_weight_parts,
     check_bounds,
-    check_slack,
+    check_number,
     downturn_rows,
     preset_bounds,
 )
@@ -60,7 +60,7 @@ def tolerance(text: str) -> float:
     """Argument type for ``backtest --tolerance``: a finite number >= 0."""
     value = decimal(text)
     try:
-        check_slack(value)
+        check_number(value, "tolerance", ">=", 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
     return value

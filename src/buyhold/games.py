@@ -43,7 +43,7 @@ def _float_matrix(matrix) -> np.ndarray:
 
     Raises DimensionMismatch unless ``matrix`` is a nonempty matrix whose
     rows have equal lengths, and NonPositiveEntry if an entry is not a
-    real number.
+    finite real number.
     """
     try:
         a = np.asarray(matrix)
@@ -58,6 +58,8 @@ def _float_matrix(matrix) -> np.ndarray:
         raise NonPositiveEntry("payoff entries must be real numbers") from None
     if a.ndim != 2 or a.size == 0:
         raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonPositiveEntry("payoff entries must be finite")
     return a
 
 
@@ -69,8 +71,6 @@ def as_payoff_matrix(matrix) -> np.ndarray:
     rows of equal length, and NonPositiveEntry for any other bad entry.
     """
     a = _float_matrix(matrix)
-    if not np.all(np.isfinite(a)):
-        raise NonPositiveEntry("payoff entries must be finite")
     if np.any(a <= 0.0):
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise NonPositiveEntry(f"payoff entry ({i}, {j}) = {a[i, j]:g} is not positive")
@@ -223,8 +223,6 @@ def solve_game_closed_form(H) -> GameSolution:
     """
     H = _float_matrix(H)
     m, n = H.shape
-    if not np.all(np.isfinite(H)):
-        raise NonPositiveEntry("payoff entries must be finite")
     if m != n:
         raise PreconditionViolated(f"closed form needs a square matrix, got {m}x{n}")
     H, k = _unit_scaled(H)

@@ -33,7 +33,7 @@ from .params import (
     bal_ratio,
     bal_weight_parts,
     check_bounds,
-    check_horizon,
+    check_integer,
     check_type,
     da_ratio,
     downturn_rows,
@@ -166,7 +166,7 @@ def bal_adversary(params: MarketParams) -> np.ndarray:
 
 def da_weights(n: int) -> np.ndarray:
     """Dollar averaging: the uniform allocation 1/n per day."""
-    check_horizon(n)
+    check_integer(n, "horizon n", 2)
     return np.full(n, 1.0 / n)
 
 

@@ -30,41 +30,40 @@ CIRCUIT_BREAKERS = {
 }
 
 
-def check_bounds(alpha, beta) -> None:
-    """Raise ValueError unless ``alpha`` and ``beta`` are finite numbers > 1."""
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        try:
-            valid = value > 1.0 and math.isfinite(value)
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ValueError(f"{name} must be a finite number > 1, got {value}")
+def check_number(value, name: str, relation: str, bound) -> None:
+    """Raise ValueError unless ``value`` is a finite number ``relation`` ``bound``.
 
-
-def check_slack(slack) -> None:
-    """Raise ValueError unless ``slack`` is a finite number >= 0."""
+    ``relation`` is ``">"`` or ``">="``: ``check_number(slack, "slack",
+    ">=", 0)`` accepts a finite ``slack >= 0``.
+    """
     try:
-        valid = slack >= 0.0 and math.isfinite(slack)
+        valid = (value > bound if relation == ">" else value >= bound) and math.isfinite(value)
     except TypeError:
         valid = False
     if not valid:
-        raise ValueError(f"slack must be a finite number >= 0, got {slack}")
+        raise ValueError(f"{name} must be a finite number {relation} {bound}, got {value!r}")
+
+
+def check_integer(value, name: str, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (to ``operator.index``) >= ``least``."""
+    try:
+        valid = operator.index(value) >= least
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_bounds(alpha, beta) -> None:
+    """Raise ValueError unless ``alpha`` and ``beta`` are finite numbers > 1."""
+    check_number(alpha, "alpha", ">", 1)
+    check_number(beta, "beta", ">", 1)
 
 
 def check_type(value, kind: type, name: str) -> None:
     """Raise TypeError, naming ``kind``, unless ``value`` is one: ``name`` takes a ``kind``."""
     if not isinstance(value, kind):
         raise TypeError(f"{name} takes a {kind.__name__}, got {type(value).__name__}")
-
-
-def check_horizon(n) -> None:
-    """Raise ValueError unless ``n`` is an integer (to ``operator.index``) >= 2."""
-    try:
-        valid = operator.index(n) >= 2
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"horizon n must be an integer >= 2, got {n}")
 
 
 class MarketParams:
@@ -83,7 +82,7 @@ class MarketParams:
 
     def __init__(self, alpha: float, beta: float, n: int):
         check_bounds(alpha, beta)
-        check_horizon(n)
+        check_integer(n, "horizon n", 2)
         # Assignment is refused below, so the slots are filled through object.
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)

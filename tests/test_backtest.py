@@ -5,6 +5,7 @@ import pickle
 from collections import Counter
 from datetime import date, timedelta
 from itertools import groupby
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,6 @@ from buyhold.backtest import (
     VIOLATION_SLACK,
     BacktestReport,
     PlanResult,
-    PlanWindow,
     PriceSeries,
     Violation,
     WindowReport,
@@ -106,6 +106,12 @@ def reference_parse_prices(text: str) -> PriceSeries:
     )
 
 
+class ReferenceWindow(NamedTuple):
+    label: str
+    dates: tuple
+    closes: np.ndarray
+
+
 def reference_segment_monthly(series):
     if len(series) == 0:
         raise LengthMismatch("price series is empty")
@@ -115,7 +121,7 @@ def reference_segment_monthly(series):
         stop = start + len(list(days))
         label = f"{year:04d}-{month:02d}"
         if stop - start >= 2:
-            windows.append(PlanWindow(label, series.dates[start:stop], series.closes[start:stop]))
+            windows.append(ReferenceWindow(label, series.dates[start:stop], series.closes[start:stop]))
         else:
             skipped.append((label, f"only {stop - start} trading day(s)"))
         start = stop
@@ -139,8 +145,8 @@ def reference_compare_report(series, alpha, beta, slack=VIOLATION_SLACK):
     windows, skipped = reference_segment_monthly(series)
     reports = []
     for window in windows:
-        n = len(window)
-        rates = window.rates
+        n = len(window.dates)
+        rates = 1.0 / window.closes
         best, last = float(rates.max()), float(window.closes[-1])
         violations = reference_violations(rates, alpha, beta, slack=slack)
         results = []
@@ -337,13 +343,13 @@ class TestSegmentation:
         for month in (1, 2, 3):
             rows += [f"1997-{month:02d}-{d:02d},100" for d in (3, 10, 17)]
         windows, skipped = segment_monthly(parse_prices("\n".join(rows)))
-        assert [w.label for w in windows] == ["1997-01", "1997-02", "1997-03"]
+        assert [f"{w.dates[0]:%Y-%m}" for w in windows] == ["1997-01", "1997-02", "1997-03"]
         assert skipped == []
 
     def test_single_day_month_skipped(self):
         text = "date,close\n1997-01-03,100\n1997-01-10,101\n1997-02-14,102\n"
         windows, skipped = segment_monthly(parse_prices(text))
-        assert [w.label for w in windows] == ["1997-01"]
+        assert [f"{w.dates[0]:%Y-%m}" for w in windows] == ["1997-01"]
         assert skipped == [("1997-02", "only 1 trading day(s)")]
 
     def test_twelve_synthetic_months(self):
@@ -427,7 +433,7 @@ class TestViolations:
             (_, bal), (_, da) = window.results
             assert bal.violations
             assert bal.violations is da.violations
-            assert bal.violations == reference_violations(plan.rates, TAIPEI_ALPHA, TAIPEI_BETA)
+            assert bal.violations == reference_violations(1.0 / plan.closes, TAIPEI_ALPHA, TAIPEI_BETA)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_daily_loop_on_dense_series(self, seed):
@@ -670,35 +676,14 @@ class TestPriceSeries:
         with pytest.raises(PreconditionViolated):
             PriceSeries(tuple(self.DAYS[k] for k in order), np.array([1.0, 2.0, 3.0]))
 
+    def test_closes_become_a_read_only_float_vector(self):
+        series = PriceSeries(self.DAYS[:2], [1, 2])
+        assert series.closes.dtype == float
+        assert not series.closes.flags.writeable
+
     def test_empty_series_has_no_month(self):
         with pytest.raises(LengthMismatch):
             compare_report(PriceSeries((), np.array([])), TAIPEI_ALPHA, TAIPEI_BETA)
-
-
-class TestPlanWindow:
-    DAYS = TestPriceSeries.DAYS
-
-    def test_one_close_per_date(self):
-        with pytest.raises(LengthMismatch):
-            PlanWindow("x", self.DAYS[:1], np.array([1.0, 2.0]))
-        with pytest.raises(LengthMismatch):
-            PlanWindow("x", self.DAYS, np.ones((3, 1)))
-
-    @pytest.mark.parametrize("bad", [-2.0, 0.0, 1e-320, float("nan"), float("inf")])
-    def test_closes_are_finite_and_positive(self, bad):
-        with pytest.raises(NonPositivePrice):
-            PlanWindow("x", self.DAYS[:2], np.array([1.0, bad]))
-
-    @pytest.mark.parametrize("order", [(1, 0, 2), (0, 0, 2), (0, 2, 2)])
-    def test_dates_strictly_increase(self, order):
-        with pytest.raises(PreconditionViolated):
-            PlanWindow("x", tuple(self.DAYS[k] for k in order), np.array([1.0, 2.0, 3.0]))
-
-    def test_closes_become_a_read_only_float_vector(self):
-        window = PlanWindow("x", self.DAYS[:2], [1, 2])
-        assert window.closes.dtype == float
-        assert not window.closes.flags.writeable
-        assert window.rates.tolist() == [1.0, 0.5]
 
 
 def _dated_rows(draw, n, start, gaps):
@@ -716,7 +701,9 @@ _BAD_CLOSES = ["1_0", "١", "0x10", "inf", "-inf", "nan", "1e999", "", "1e", "ab
 
 
 #: Edits that take a plain text (see backtest._plain_cells) to its edge, or past it.
-_PLAIN_EDITS = ["cancel", "no comma", "two commas", "blank", "spaces", "control", "surrogate", "long", "lone cr"]
+_PLAIN_EDITS = [
+    "cancel", "no comma", "two commas", "blank", "spaces", "control", "surrogate", "long", "lone cr", "edge cr"
+]
 
 
 def _edited(draw, lines, edit):
@@ -756,17 +743,26 @@ def _edited(draw, lines, edit):
         # Anywhere in a line, at its end too, where a newline may follow it.
         at = draw(st.integers(0, len(lines[k])))
         lines[k] = lines[k][:at] + "\r" + lines[k][at:]
+    elif edit == "edge cr":
+        # At a cell's edge, where strip and float would drop it.
+        comma = lines[k].index(",")
+        at = draw(st.sampled_from([0, comma, comma + 1, len(lines[k])]))
+        lines[k] = lines[k][:at] + "\r" + lines[k][at:]
 
 
 @st.composite
-def _price_texts(draw, plain=False):
+def _price_texts(draw, plain=False, edit=None):
     """A date,close file, maybe shuffled and with one defect, in one of the layouts csv reads.
 
     With ``plain`` the layout is the one parse_prices splits without
     csv.reader: no quotes and no blank lines, with LF or CRLF line ends.
-    Then one edit from ``_PLAIN_EDITS`` may take it to the edge of that
-    layout or past it.
+    Then ``edit``, or one drawn from ``_PLAIN_EDITS``, may take it to the
+    edge of that layout or past it, and a text with an edit has no
+    defect: a defect in an earlier row would raise the same error on
+    both sides, so the edit would not be compared.
     """
+    if plain and edit is None:
+        edit = draw(st.sampled_from([None] * len(_PLAIN_EDITS) + _PLAIN_EDITS))
     n = draw(st.integers(1, 30))
     start = draw(st.dates(min_value=date(1990, 1, 1), max_value=date(2030, 12, 31)))
     days = _dated_rows(draw, n, start, st.integers(1, 40))
@@ -775,7 +771,8 @@ def _price_texts(draw, plain=False):
     if draw(st.booleans()):
         rows = draw(st.permutations(rows))
     k = draw(st.integers(0, len(rows) - 1))
-    defect = draw(st.sampled_from([None, None, "date", "close", "zero", "negative", "duplicate", "fields"]))
+    defects = [None, None, "date", "close", "zero", "negative", "duplicate", "fields"]
+    defect = None if edit else draw(st.sampled_from(defects))
     if defect == "date":
         rows[k][0] = draw(st.sampled_from(_BAD_DATES))
     elif defect == "close":
@@ -794,7 +791,7 @@ def _price_texts(draw, plain=False):
         cells = [f'"{cell}"' if quoted else f" {cell} " if padded else cell for cell in row]
         lines.append(",".join(cells))
     if plain:
-        _edited(draw, lines, draw(st.sampled_from([None] * len(_PLAIN_EDITS) + _PLAIN_EDITS)))
+        _edited(draw, lines, edit)
     else:
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(1, len(lines))), "")
@@ -880,6 +877,15 @@ class TestBulkMatchesReference:
         assert 0 < row_reader.call_count < texts["all"]
         assert texts["split"] >= texts["all"] // 10, texts
 
+    # Each edit in every run: drawn among the others, one edit kind may
+    # not come up in a run's examples at all.
+    @pytest.mark.parametrize("edit", _PLAIN_EDITS)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_parse_prices_after_plain_edit(self, edit, data):
+        text = data.draw(_price_texts(plain=True, edit=edit))
+        assert _parse_outcome(parse_prices, text) == _parse_outcome(reference_parse_prices, text)
+
     @given(
         series=_series(),
         bounds=st.sampled_from([(TAIPEI_ALPHA, TAIPEI_BETA), (1 / 0.95, 1.30), (2, 2), (1.5, 1.01)]),
@@ -894,7 +900,8 @@ class TestBulkMatchesReference:
         windows, skipped = segment_monthly(series)
         ref_windows, ref_skipped = reference_segment_monthly(series)
         assert skipped == ref_skipped
-        assert [(w.label, w.dates, w.closes.tolist()) for w in windows] == [
+        assert all(type(w) is PriceSeries for w in windows)
+        assert [(f"{w.dates[0]:%Y-%m}", w.dates, w.closes.tolist()) for w in windows] == [
             (w.label, w.dates, w.closes.tolist()) for w in ref_windows
         ]
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from buyhold import (
-    OPTIMALITY_TOL,
     DimensionMismatch,
     NonPositiveEntry,
     NumericalFailure,
@@ -17,7 +16,7 @@ from buyhold import (
     worst_case_columns,
 )
 from buyhold import games
-from buyhold.games import as_payoff_matrix
+from buyhold.games import OPTIMALITY_TOL, as_payoff_matrix
 from buyhold.market import MarketParams, payoff_matrix_K
 
 SYM2 = np.array([[1.0, 0.5], [0.5, 1.0]])

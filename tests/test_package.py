@@ -1,4 +1,4 @@
-"""The package namespace: lazy names, ``dir`` and star imports."""
+"""The package namespace (lazy names, ``dir`` and star imports) and its wrong-type contract."""
 
 import ast
 import os
@@ -79,24 +79,40 @@ def _unreferenced_public_names(package: Path) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     used |= {name for names in buyhold._EXPORTS.values() for name in names}
-    unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                continue
-            unused += [f"{module}.{name}" for name in names if not name.startswith("_") and name not in used]
-    return unused
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _defined_names(tree)
+        if not name.startswith("_") and name not in used
+    ]
+
+
+def _defined_names(tree: ast.Module) -> list[str]:
+    """The names a module's top level defines by ``def``, ``class`` or assignment, not by import."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
 
 
 def test_every_public_name_is_used_or_exported():
     # A public name the library neither calls nor exports is code kept only for its tests.
     assert _unreferenced_public_names(Path(buyhold.__file__).resolve().parent) == []
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    # A name a module exports but only imports has a second home.
+    package = Path(buyhold.__file__).resolve().parent
+    homeless = []
+    for module, names in buyhold._EXPORTS.items():
+        defined = _defined_names(ast.parse((package / f"{module}.py").read_text(encoding="utf-8")))
+        homeless += [f"{module}.{name}" for name in names if name not in defined]
+    assert homeless == []
 
 
 def test_first_backtest_pass_imports_nothing():
@@ -117,3 +133,29 @@ def test_first_backtest_pass_imports_nothing():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+#: The names that take vectors, each called with ``v`` as its first vector.
+_VECTOR_CALLS = {
+    "offline_optimum": lambda v: buyhold.offline_optimum(v),
+    "evaluate_static": lambda v: buyhold.evaluate_static(v, [1.0]),
+    "static_ratio_via_downturns": lambda v: buyhold.static_ratio_via_downturns(v, buyhold.MarketParams(2.0, 2.0, 2)),
+    "worst_case_columns": lambda v: buyhold.worst_case_columns([[1.0]], v),
+    "check_extreme_point": lambda v: buyhold.check_extreme_point([[1.0]], v, [1.0], [0], [0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VECTOR_CALLS))
+@pytest.mark.parametrize(
+    "vector, error, message",
+    [
+        (["a"], ValueError, "could not convert string to float"),
+        ([[1, 2], [3]], ValueError, "inhomogeneous shape"),
+        ([object()], TypeError, r"float\(\) argument must be"),
+    ],
+    ids=["string", "ragged", "object"],
+)
+def test_vector_of_the_wrong_type_raises_numpys_error(name, vector, error, message):
+    # The documented contract: numpy's own conversion error, unwrapped.
+    with pytest.raises(error, match=message):
+        _VECTOR_CALLS[name](vector)
