@@ -11,29 +11,28 @@ theory assumes admissible sequences, and real data (splits, halts) may
 break that assumption, so offending windows are reported but still
 evaluated.
 
-The work is done in bulk: ``parse_prices`` converts and checks whole
-columns, and ``compare_report`` computes the rates, the daily rate
-factors and the violation mask once over the whole series, then the
-shares of all months of one length with one batched dot product.
+The work is done in bulk: ``parse_prices`` converts and checks plain
+text by whole columns, and ``compare_report`` computes the rates, the
+daily rate factors and the violation mask once over the whole series,
+then the shares of all months of one length with one batched dot
+product.
 """
 
 import csv
-import io
 import math
 import operator
-import os
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError, PreconditionViolated
-from .formatting import decode_utf8, json_float, parse_decimal, render
+from .formatting import csv_records, json_float, parse_decimal, read_text, render
 from .market import bal_weights, da_weights
 from .params import MarketParams, check_bounds, check_integer, check_number, check_type
 from .svgchart import line_chart
@@ -51,6 +50,8 @@ class PriceSeries:
     per date, PreconditionViolated unless the dates strictly increase
     and NonPositivePrice unless every close is a finite number in the
     normal float range above 0, so that every rate ``1/close`` is finite.
+    ``closes`` is kept as a read-only float copy, so the caller's array
+    stays writeable and a later edit of it does not reach the series.
     """
 
     dates: tuple[date, ...]
@@ -58,7 +59,7 @@ class PriceSeries:
     reordered: bool = False
 
     def __post_init__(self):
-        dates, closes = self.dates, np.asarray(self.closes, dtype=float)
+        dates, closes = self.dates, np.array(self.closes, dtype=float)
         if closes.shape != (len(dates),):
             raise LengthMismatch(f"{len(dates)} dates vs closes of shape {closes.shape}")
         if not all(map(operator.lt, dates, islice(dates, 1, None))):
@@ -122,10 +123,9 @@ def parse_prices(text: str) -> PriceSeries:
     ``formatting.decode_utf8`` decodes bytes.
 
     Plain text (see ``_plain_cells``) is split into its cells with one
-    ``str.split``; any other text is tokenized once by ``csv.reader``.
-    Either way the columns are then converted and checked in bulk.  If
-    any check fails, ``_parse_rows`` goes through the ``csv.reader``
-    records one by one and raises the error of the first bad row.
+    ``str.split``, and its columns are converted and checked in bulk.
+    Any other text, and plain text that fails a check, is read row by
+    row by ``_parse_rows``, which raises the error of the first bad row.
     """
     if not isinstance(text, str):
         hint = ""
@@ -135,34 +135,15 @@ def parse_prices(text: str) -> PriceSeries:
     text = text.lstrip("\ufeff")
     cells = _plain_cells(text)
     if cells is not None:
+        joined = "".join(cells[3::2])
         try:
-            return _converted(cells[2::2], cells[3::2])
+            # parse_decimal's guard, applied to every close at once.
+            if joined.isascii() and "_" not in joined:
+                days = list(map(date.fromisoformat, map(str.strip, cells[2::2])))
+                return _sorted_series(days, np.fromiter(map(float, cells[3::2]), float, len(days)))
         except (ValueError, PreconditionViolated, NonPositivePrice):
             pass  # A bad field, a duplicate date or a close out of range: find its row.
-    reader = csv.reader(io.StringIO(text))
-    try:
-        # Blank records are kept, so record k is row k + 1.
-        records = list(reader)
-    except csv.Error as exc:
-        # A carriage return inside a line, or a field past csv.field_size_limit.
-        raise ParseError(f"unreadable CSV: {exc}", row=reader.line_num) from None
-    header_line = next((k + 1 for k, record in enumerate(records) if record), None)
-    if header_line is None:
-        raise ParseError("empty input", row=1)
-    if [cell.strip() for cell in records[header_line - 1]] != ["date", "close"]:
-        raise ParseError("header must be exactly 'date,close'", row=header_line)
-    rows = list(filter(None, islice(records, header_line, None)))
-    if not rows:
-        raise ParseError("no data rows", row=header_line)
-    # Plain cells are these records' cells, so they failed above already.
-    if cells is None:
-        try:
-            # A row without exactly two fields makes zip raise ValueError.
-            day_cells, close_cells = zip(*rows, strict=True)
-            return _converted(day_cells, close_cells)
-        except (ValueError, PreconditionViolated, NonPositivePrice):
-            pass
-    _parse_rows(records, header_line)
+    return _parse_rows(text)
 
 
 def _plain_cells(text: str) -> list[str] | None:
@@ -204,19 +185,8 @@ def _plain_cells(text: str) -> list[str] | None:
     return cells
 
 
-def _converted(day_cells, close_cells) -> PriceSeries:
-    """The PriceSeries of a date column and a close column of cells.
-
-    Raises ValueError for a cell that does not convert,
-    PreconditionViolated for a repeated date and NonPositivePrice for a
-    close out of range, without naming the row.
-    """
-    # parse_decimal's guard, applied to every cell at once.
-    joined = "".join(close_cells)
-    if not joined.isascii() or "_" in joined:
-        raise ValueError("a close outside the decimal grammar")
-    days = list(map(date.fromisoformat, map(str.strip, day_cells)))
-    closes = np.fromiter(map(float, close_cells), float, len(close_cells))
+def _sorted_series(days: list[date], closes: np.ndarray) -> PriceSeries:
+    """The PriceSeries of ``days`` and ``closes``, sorted and flagged if out of order."""
     try:
         return PriceSeries(dates=tuple(days), closes=closes)
     except PreconditionViolated:
@@ -225,9 +195,19 @@ def _converted(day_cells, close_cells) -> PriceSeries:
     return PriceSeries(dates=tuple([days[k] for k in order]), closes=closes[order], reordered=True)
 
 
-def _parse_rows(records: list[list[str]], header_line: int) -> NoReturn:
-    """Raise the error of the first bad data row after the header in row ``header_line``."""
-    seen: set[date] = set()
+def _parse_rows(text: str) -> PriceSeries:
+    """The PriceSeries of ``text``, checked one row at a time; an error names the first bad row.
+
+    Unreadable CSV is refused before any row is checked.
+    """
+    # Blank records are kept, so record k is row k + 1.
+    records = list(csv_records(text))
+    header_line = next((k + 1 for k, record in enumerate(records) if record), None)
+    if header_line is None:
+        raise ParseError("empty input", row=1)
+    if [cell.strip() for cell in records[header_line - 1]] != ["date", "close"]:
+        raise ParseError("header must be exactly 'date,close'", row=header_line)
+    days, closes, seen = [], [], set()
     for lineno, row in enumerate(islice(records, header_line, None), start=header_line + 1):
         if not row:
             continue
@@ -248,13 +228,16 @@ def _parse_rows(records: list[list[str]], header_line: int) -> NoReturn:
         if day in seen:
             raise DuplicateDate(f"duplicate date {day.isoformat()}", row=lineno, column=1)
         seen.add(day)
-    raise AssertionError("parse_prices refused rows that are each valid")
+        days.append(day)
+        closes.append(close)
+    if not days:
+        raise ParseError("no data rows", row=header_line)
+    return _sorted_series(days, np.array(closes))
 
 
 def load_prices(path) -> PriceSeries:
     """Load a price CSV file; ``parse_prices(decode_utf8(data))`` reads other sources."""
-    with open(os.fspath(path), "rb") as handle:
-        return parse_prices(decode_utf8(handle.read()))
+    return parse_prices(read_text(path))
 
 
 def _month_spans(dates) -> tuple[list[tuple[str, int, int]], list[tuple[str, str]]]:
@@ -296,7 +279,6 @@ def segment_monthly(series: PriceSeries):
     strategy is forced (a plan needs ``n >= 2``, see MarketParams).
     """
     spans, skipped = _month_spans(series.dates)
-    # PriceSeries.closes is read-only, so the windows share it.
     windows = [PriceSeries(series.dates[start:stop], series.closes[start:stop]) for _, start, stop in spans]
     return windows, skipped
 

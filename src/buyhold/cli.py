@@ -6,13 +6,11 @@ fail a run), 1 on bad input data, 2 on usage errors.
 """
 
 import argparse
-import csv
-import io
 import sys
 from datetime import date
 
 from .errors import BuyholdError, ParseError
-from .formatting import decode_utf8, parse_decimal, render, to_json
+from .formatting import csv_records, parse_decimal, read_text, render, to_json
 from .params import (
     CIRCUIT_BREAKERS,
     MarketParams,
@@ -56,22 +54,18 @@ def decimal(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def tolerance(text: str) -> float:
-    """Argument type for ``backtest --tolerance``: a finite number >= 0."""
-    value = decimal(text)
-    try:
-        check_number(value, "tolerance", ">=", 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
-    return value
+def bounded_decimal(name: str, relation: str, bound):
+    """Argument type for a number flag ``name``: ``decimal``, then ``params.check_number``."""
 
+    def parse(text: str) -> float:
+        value = decimal(text)
+        try:
+            check_number(value, name, relation, bound)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-def price(text: str) -> float:
-    """Argument type for ``--price``: a finite number > 0."""
-    value = decimal(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, ["text", "json", "csv", "svg"])
     p.add_argument(
         "--tolerance",
-        type=tolerance,
+        type=bounded_decimal("tolerance", ">=", 0),
         help="relative slack before a daily move counts as a violation",
     )
     p.set_defaults(func=cmd_backtest)
@@ -131,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--months", type=integer, default=12, help=f"number of calendar months (1 to {MAX_MONTHS})")
     p.add_argument("--seed", type=integer, default=0, help="RNG seed (>= 0)")
     p.add_argument("--start", type=date.fromisoformat, default=date(1997, 1, 1), help="first day (ISO)")
-    p.add_argument("--price", type=price, default=100.0, help="initial price (> 0)")
+    p.add_argument("--price", type=bounded_decimal("price", ">", 0), default=100.0, help="initial price (> 0)")
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -177,23 +171,17 @@ def cmd_weights(args, parser) -> str:
 
 def read_matrix_csv(text: str) -> "np.ndarray":
     """Rows of ``formatting.parse_decimal`` cells as a matrix; solve_game checks the entries."""
-    reader = csv.reader(io.StringIO(text))
     rows = []
-    try:
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                rows.append([parse_decimal(cell) for cell in row])
-            except ValueError as exc:
-                raise ParseError(f"bad matrix entry: {exc}", row=lineno) from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise ParseError(
-                    f"row has {len(rows[-1])} entries, expected {len(rows[0])}", row=lineno
-                )
-    except csv.Error as exc:
-        # A carriage return inside a line, or a field past csv.field_size_limit.
-        raise ParseError(f"unreadable CSV: {exc}", row=reader.line_num) from None
+    # One record at a time: a bad row is named before csv reads the lines after it.
+    for lineno, row in enumerate(csv_records(text), start=1):
+        if not row:
+            continue
+        try:
+            rows.append([parse_decimal(cell) for cell in row])
+        except ValueError as exc:
+            raise ParseError(f"bad matrix entry: {exc}", row=lineno) from None
+        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+            raise ParseError(f"row has {len(rows[-1])} entries, expected {len(rows[0])}", row=lineno)
     if not rows:
         raise ParseError("no matrix rows", row=1)
     import numpy as np
@@ -206,9 +194,7 @@ def cmd_solve(args, parser) -> str:
 
     from .games import solve_game
 
-    with open(args.matrix, "rb") as handle:
-        H = read_matrix_csv(decode_utf8(handle.read()))
-    solution, route = solve_game(H)
+    solution, route = solve_game(read_matrix_csv(read_text(args.matrix)))
     fields = {
         "value": solution.value,
         "ratio": solution.ratio,

@@ -5,11 +5,15 @@ writes a payload as indented JSON in one recursive pass; both give a
 float 12 significant digits.  ``json_float`` is the one spelling of a
 float in JSON, which ``to_json`` and ``backtest.report_json`` share.
 ``parse_decimal`` is the one grammar for the numbers the package reads,
-``decode_utf8`` the one decoding of the files it reads.  No numpy is
-imported here: arrays are recognised by their ``tolist`` method.
+and ``read_text`` (through ``decode_utf8``) and ``csv_records`` its one
+reader of input files.  No numpy is imported here: arrays are recognised
+by their ``tolist`` method.
 """
 
+import csv
+import io
 import math
+import os
 from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError
@@ -47,6 +51,25 @@ def decode_utf8(data: bytes) -> str:
     except UnicodeDecodeError as exc:
         row = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", row=row) from None
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``, read in binary and decoded by ``decode_utf8``."""
+    with open(os.fspath(path), "rb") as handle:
+        return decode_utf8(handle.read())
+
+
+def csv_records(text: str):
+    """The records ``csv.reader`` reads from ``text``, blank ones included, one at a time.
+
+    Raises ParseError at the row where ``csv`` stops: a carriage return
+    inside a line, or a field past ``csv.field_size_limit()``.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"unreadable CSV: {exc}", row=reader.line_num) from None
 
 
 def _cell(value) -> str:

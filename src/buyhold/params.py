@@ -38,7 +38,8 @@ def check_number(value, name: str, relation: str, bound) -> None:
     """
     try:
         valid = (value > bound if relation == ">" else value >= bound) and math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
+        # Not a number, or an int past the float range, which isfinite refuses.
         valid = False
     if not valid:
         raise ValueError(f"{name} must be a finite number {relation} {bound}, got {value!r}")

@@ -30,7 +30,7 @@ from buyhold import (
     segment_monthly,
     synthetic_prices,
 )
-from buyhold import backtest
+from buyhold import backtest, formatting
 from buyhold.backtest import (
     VIOLATION_SLACK,
     BacktestReport,
@@ -290,7 +290,7 @@ class TestParsing:
         # Plain text, with LF or CRLF line ends, is split without csv.reader;
         # other text, a lone carriage return included, and a plain text with
         # a bad row, which is named from the records, take one call.
-        with mock.patch.object(backtest.csv, "reader", wraps=csv.reader) as reader:
+        with mock.patch.object(formatting.csv, "reader", wraps=csv.reader) as reader:
             parse_prices("date,close\n1997-01-02,100\n1997-01-03,101\n")
             parse_prices("date,close\n1997-01-02,100\n1997-01-03,101")
             assert parse_prices("date,close\r\n1997-01-02,100\r\n").closes.tolist() == [100.0]
@@ -681,6 +681,21 @@ class TestPriceSeries:
         assert series.closes.dtype == float
         assert not series.closes.flags.writeable
 
+    def test_later_edits_of_the_callers_array_do_not_reach_the_series(self):
+        closes = np.array([1.0, 2.0])
+        series = PriceSeries(self.DAYS[:2], closes)
+        closes[0] = 3.0
+        assert series.closes.tolist() == [1.0, 2.0]
+        assert closes.flags.writeable and not series.closes.flags.writeable
+        # A read-only view of a writeable array is copied too.
+        view = closes.view()
+        view.flags.writeable = False
+        series = PriceSeries(self.DAYS[:2], view)
+        closes[0] = 4.0
+        assert series.closes.tolist() == [3.0, 2.0]
+        (window,), _ = segment_monthly(series)
+        assert window.closes.tolist() == [3.0, 2.0] and not window.closes.flags.writeable
+
     def test_empty_series_has_no_month(self):
         with pytest.raises(LengthMismatch):
             compare_report(PriceSeries((), np.array([])), TAIPEI_ALPHA, TAIPEI_BETA)
@@ -862,20 +877,26 @@ class TestBulkMatchesReference:
             texts["all"] += 1
             before = reader.call_count
             got = _parse_outcome(parse_prices, text)
-            texts["split"] += reader.call_count == before
-            assert got == _parse_outcome(reference_parse_prices, text)
+            calls = reader.call_count - before
+            want = _parse_outcome(reference_parse_prices, text)
+            assert got == want
+            # Plain text that parses (want[0] is its dates, not an error's
+            # type) is split without csv.reader.
+            if backtest._plain_cells(text.lstrip("\ufeff")) is not None and isinstance(want[0], tuple):
+                texts["split"] += 1
+                assert calls == 0, text
 
         for text in _EDGE_TEXTS:
             check = example(text=text)(check)
         with (
             mock.patch.object(backtest, "_parse_rows", wraps=backtest._parse_rows) as row_reader,
-            mock.patch.object(backtest.csv, "reader", wraps=csv.reader) as reader,
+            mock.patch.object(formatting.csv, "reader", wraps=csv.reader) as reader,
         ):
             check()
-        # The bulk path and the row reader it falls back to were both taken,
-        # and so was the split of plain text without csv.reader.
+        # The split and the row reader were both taken: _plain_cells refused
+        # some texts and accepted others, explicit examples among them.
         assert 0 < row_reader.call_count < texts["all"]
-        assert texts["split"] >= texts["all"] // 10, texts
+        assert texts["split"] > 0, texts
 
     # Each edit in every run: drawn among the others, one edit kind may
     # not come up in a run's examples at all.

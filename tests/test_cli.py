@@ -140,6 +140,11 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", str(path))
         assert (code, out) == (1, "") and err.startswith("error: unreadable CSV") and "row 1" in err
 
+    def test_bad_row_is_named_before_an_unreadable_line(self):
+        # Records are read one at a time, so csv never reaches the bare \r of row 2.
+        with pytest.raises(ParseError, match=r"^bad matrix entry: .* \(row 1\)$"):
+            read_matrix_csv("1,x\n1\r2\n")
+
     def test_matrix_cell_grammar(self):
         with pytest.raises(ParseError):
             read_matrix_csv("1_0,2\n\u0663,4\n")

@@ -159,3 +159,41 @@ def test_vector_of_the_wrong_type_raises_numpys_error(name, vector, error, messa
     # The documented contract: numpy's own conversion error, unwrapped.
     with pytest.raises(error, match=message):
         _VECTOR_CALLS[name](vector)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: buyhold.MarketParams(10**400, 2, 3), "alpha"),
+        (lambda: buyhold.compare_report(buyhold.synthetic_prices(2.0, 2.0), 2.0, 2.0, slack=10**400), "slack"),
+        (lambda: buyhold.synthetic_prices(2.0, 2.0, initial_price=10**400), "initial_price"),
+    ],
+    ids=["alpha", "slack", "initial_price"],
+)
+def test_int_past_the_float_range_is_a_value_error(call, name):
+    # math.isfinite raises OverflowError for such an int; the rule says ValueError.
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        call()
+
+
+def _csv_reader_uses(package: Path) -> list[str]:
+    """The library's references to ``csv.reader`` and ``csv.Error`` outside ``formatting``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "formatting.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("reader", "Error"):
+                named = isinstance(node.value, ast.Name) and node.value.id == "csv"
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                named = any(alias.name in ("reader", "Error") for alias in node.names)
+            else:
+                continue
+            if named:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_formatting_tokenizes_csv():
+    # formatting.csv_records is the one tokenizer and the one csv.Error handler.
+    assert _csv_reader_uses(Path(buyhold.__file__).resolve().parent) == []
