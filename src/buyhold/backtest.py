@@ -150,11 +150,12 @@ def _plain_cells(text: str) -> list[str] | None:
     """The cells of plain ``text`` in reading order, or None if it is not plain.
 
     Plain text has no ``"``, no carriage return except right before a
-    newline, exactly one comma on every line, no blank line, no line of
-    more than ``csv.field_size_limit()`` UTF-8 bytes, the header
-    ``date,close`` and at least one data row.  ``csv.reader`` reads such
-    text as these cells, two to a record: it ends a record at a carriage
-    return and newline as at a newline alone.
+    newline, exactly one comma on every line, no blank line except at
+    the end, no line of more than ``csv.field_size_limit()`` UTF-8 bytes,
+    the header ``date,close`` and at least one data row.  ``csv.reader``
+    reads such text as these cells, two to a record: it ends a record at
+    a carriage return and newline as at a newline alone, and the blank
+    lines at the end are blank records, which the row reader skips too.
     """
     if '"' in text:
         return None
@@ -163,6 +164,7 @@ def _plain_cells(text: str) -> list[str] | None:
         # A carriage return left now is a lone one, which csv.reader reads otherwise.
         if "\r" in text:
             return None
+    text = text.rstrip("\n")
     # In UTF-8 the bytes of "," and "\n" stand only for those characters,
     # and surrogatepass encodes a lone surrogate instead of raising.
     codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
@@ -176,11 +178,8 @@ def _plain_cells(text: str) -> list[str] | None:
     if np.diff(ends).max() - 1 > csv.field_size_limit():
         return None
     cells = text.replace("\n", ",").split(",")
-    if len(cells) % 2:
-        # After a final newline there is an empty cell, and nothing else.
-        if cells.pop():
-            return None
-    if len(cells) < 4 or cells[0].strip() != "date" or cells[1].strip() != "close":
+    # An odd count means a last line without its comma, such as one of spaces.
+    if len(cells) % 2 or len(cells) < 4 or cells[0].strip() != "date" or cells[1].strip() != "close":
         return None
     return cells
 
@@ -277,7 +276,10 @@ def segment_monthly(series: PriceSeries):
     one month with a plan, in date order, and skipped lists ``(label,
     reason)`` for months with a single trading day, on which every
     strategy is forced (a plan needs ``n >= 2``, see MarketParams).
+    Raises TypeError unless ``series`` is a PriceSeries, and
+    LengthMismatch if it is empty.
     """
+    check_type(series, PriceSeries, "segment_monthly")
     spans, skipped = _month_spans(series.dates)
     windows = [PriceSeries(series.dates[start:stop], series.closes[start:stop]) for _, start, stop in spans]
     return windows, skipped
@@ -399,13 +401,15 @@ def synthetic_prices(
 
     Each day's rate factor is drawn uniformly from ``[1/beta, alpha]``,
     so every step (within and across months) respects the bounds; the
-    price moves by the reciprocal factor.  Raises ValueError unless
-    ``alpha`` and ``beta`` are finite numbers > 1, ``initial_price`` is
-    a finite number > 0, ``seed`` is an integer (to ``operator.index``)
-    >= 0 and ``window_end`` accepts the window, and PreconditionViolated
-    if a price overflows or falls below the normal float range.
+    price moves by the reciprocal factor.  Raises TypeError unless
+    ``start`` is a date, ValueError unless ``alpha`` and ``beta`` are
+    finite numbers > 1, ``initial_price`` is a finite number > 0,
+    ``seed`` is an integer (to ``operator.index``) >= 0 and
+    ``window_end`` accepts the window, and PreconditionViolated if a
+    price overflows or falls below the normal float range.
     """
     check_bounds(alpha, beta)
+    check_type(start, date, "synthetic_prices")
     end = window_end(start, months)
     check_number(initial_price, "initial_price", ">", 0)
     check_integer(seed, "seed", 0)

@@ -18,17 +18,19 @@ from .params import (
     _da_ratio,
     bal_ratio,
     bal_weight_parts,
-    check_bounds,
+    check_integer,
     check_number,
     downturn_rows,
     preset_bounds,
 )
 from .svgchart import line_chart
 
-# numpy, games and backtest are imported inside the subcommands that use
-# them, so that weights, sweep and downturns start without numpy.
+# games and backtest, and with them numpy, are imported inside the
+# subcommands that use them, so that weights, sweep and downturns start
+# without numpy.  Each flag's type checks its grammar and its range, so a
+# subcommand checks only what involves two flags or the calendar.
 
-#: Largest horizon for ``weights --days`` and ``sweep --to``, whose work is linear in it.
+#: Largest horizon for ``weights --days`` and ``sweep --from``/``--to``, whose work is linear in it.
 MAX_DAYS = 10000
 #: Largest ``downturns --days``: the output holds n² rates.
 MAX_DOWNTURN_DAYS = 1000
@@ -36,30 +38,34 @@ MAX_DOWNTURN_DAYS = 1000
 MAX_MONTHS = 1200
 
 
-def integer(text: str) -> int:
-    """Argument type for a whole-number flag: ``int``'s grammar in ASCII, without ``_``.
+def bounded_integer(name: str, least: int, most: int | None = None):
+    """Argument type for a whole-number flag ``name``, from ``least`` to ``most`` (no cap if None).
 
-    argparse reports a ValueError as ``invalid integer value``.
+    The grammar is ``int``'s in ASCII, without ``_``; the lower bound is
+    ``params.check_integer``'s rule.
     """
-    if not text.isascii() or "_" in text:
-        raise ValueError(text)
-    return int(text)
 
+    def parse(text: str) -> int:
+        try:
+            if not text.isascii() or "_" in text:
+                raise ValueError(f"not a whole number: {text!r}")
+            value = int(text)
+            check_integer(value, name, least)
+            if most is not None and value > most:
+                raise ValueError(f"{name} must be an integer <= {most}, got {value!r}")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-def decimal(text: str) -> float:
-    """Argument type for a number flag: ``formatting.parse_decimal``'s grammar."""
-    try:
-        return parse_decimal(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def bounded_decimal(name: str, relation: str, bound):
-    """Argument type for a number flag ``name``: ``decimal``, then ``params.check_number``."""
+    """Argument type for a number flag ``name``: ``formatting.parse_decimal``, then ``params.check_number``."""
 
     def parse(text: str) -> float:
-        value = decimal(text)
         try:
+            value = parse_decimal(text)
             check_number(value, name, relation, bound)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
@@ -76,8 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--alpha", type=decimal, help="maximum daily up-factor of the rate (> 1)")
-    bounds.add_argument("--beta", type=decimal, help="reciprocal of the maximum daily down-factor (> 1)")
+    bounds.add_argument(
+        "--alpha", type=bounded_decimal("alpha", ">", 1), help="maximum daily up-factor of the rate (> 1)"
+    )
+    bounds.add_argument(
+        "--beta", type=bounded_decimal("beta", ">", 1), help="reciprocal of the maximum daily down-factor (> 1)"
+    )
     bounds.add_argument(
         "--preset",
         choices=sorted(CIRCUIT_BREAKERS),
@@ -90,8 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, choices):
         p.add_argument("--format", choices=choices, default="text", help="output format")
 
+    def add_days(p, most):
+        days = bounded_integer("days", 2, most)
+        p.add_argument("--days", type=days, required=True, help=f"horizon length in days (2 to {most})")
+
     p = sub.add_parser("weights", parents=[bounds, output], help="balanced strategy weights and ratio")
-    p.add_argument("--days", type=integer, required=True, help=f"horizon length in days (2 to {MAX_DAYS})")
+    add_days(p, MAX_DAYS)
     add_format(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_weights)
 
@@ -101,13 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[bounds, output], help="ratio curves over a horizon range")
-    p.add_argument("--from", dest="n_from", type=integer, required=True, metavar="N", help="first horizon")
-    p.add_argument("--to", dest="n_to", type=integer, required=True, metavar="N", help=f"last horizon (<= {MAX_DAYS})")
+    horizon = dict(type=bounded_integer("horizon", 2, MAX_DAYS), required=True, metavar="N")
+    p.add_argument("--from", dest="n_from", help=f"first horizon (2 to {MAX_DAYS})", **horizon)
+    p.add_argument("--to", dest="n_to", help=f"last horizon (--from to {MAX_DAYS})", **horizon)
     add_format(p, ["text", "json", "csv", "svg"])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("downturns", parents=[bounds, output], help="worst-case rate sequences")
-    p.add_argument("--days", type=integer, required=True, help=f"horizon length in days (2 to {MAX_DOWNTURN_DAYS})")
+    add_days(p, MAX_DOWNTURN_DAYS)
     add_format(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_downturns)
 
@@ -122,8 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("synth", parents=[bounds, output], help="seeded synthetic admissible price CSV")
-    p.add_argument("--months", type=integer, default=12, help=f"number of calendar months (1 to {MAX_MONTHS})")
-    p.add_argument("--seed", type=integer, default=0, help="RNG seed (>= 0)")
+    months = bounded_integer("months", 1, MAX_MONTHS)
+    p.add_argument("--months", type=months, default=12, help=f"number of calendar months (1 to {MAX_MONTHS})")
+    p.add_argument("--seed", type=bounded_integer("seed", 0), default=0, help="RNG seed (>= 0)")
     p.add_argument("--start", type=date.fromisoformat, default=date(1997, 1, 1), help="first day (ISO)")
     p.add_argument("--price", type=bounded_decimal("price", ">", 0), default=100.0, help="initial price (> 0)")
     p.set_defaults(func=cmd_synth)
@@ -139,22 +155,11 @@ def resolve_bounds(args, parser) -> tuple[float, float]:
         return preset_bounds(args.preset)
     if args.alpha is None or args.beta is None:
         parser.error("either --preset or both --alpha and --beta are required")
-    try:
-        check_bounds(args.alpha, args.beta)
-    except ValueError as exc:
-        parser.error(str(exc))
     return args.alpha, args.beta
 
 
-def resolve_params(args, parser, max_days) -> MarketParams:
-    alpha, beta = resolve_bounds(args, parser)
-    if not 2 <= args.days <= max_days:
-        parser.error(f"--days must be between 2 and {max_days}")
-    return MarketParams(alpha=alpha, beta=beta, n=args.days)
-
-
 def cmd_weights(args, parser) -> str:
-    params = resolve_params(args, parser, MAX_DAYS)
+    params = MarketParams(*resolve_bounds(args, parser), args.days)
     first, interior, last = bal_weight_parts(params)
     b = [first, *[interior] * (params.n - 2), last]
     c = [last, *[interior] * (params.n - 2), first]
@@ -169,8 +174,8 @@ def cmd_weights(args, parser) -> str:
     return render(preamble, "text", (6,)) + render(table, "text", (4, 14))
 
 
-def read_matrix_csv(text: str) -> "np.ndarray":
-    """Rows of ``formatting.parse_decimal`` cells as a matrix; solve_game checks the entries."""
+def read_matrix_csv(text: str) -> list[list[float]]:
+    """Rows of ``formatting.parse_decimal`` cells, all of one length; solve_game checks the entries."""
     rows = []
     # One record at a time: a bad row is named before csv reads the lines after it.
     for lineno, row in enumerate(csv_records(text), start=1):
@@ -184,14 +189,10 @@ def read_matrix_csv(text: str) -> "np.ndarray":
             raise ParseError(f"row has {len(rows[-1])} entries, expected {len(rows[0])}", row=lineno)
     if not rows:
         raise ParseError("no matrix rows", row=1)
-    import numpy as np
-
-    return np.array(rows)
+    return rows
 
 
 def cmd_solve(args, parser) -> str:
-    import numpy as np
-
     from .games import solve_game
 
     solution, route = solve_game(read_matrix_csv(read_text(args.matrix)))
@@ -205,19 +206,17 @@ def cmd_solve(args, parser) -> str:
     }
     if args.format == "json":
         return to_json(fields)
-    # One row per field; a strategy spreads over the rest of its row.
-    rows = [(key, *value) if np.ndim(value) else (key, value) for key, value in fields.items()]
+    # One row per field; a strategy, an array, spreads over the rest of its row.
+    rows = [(key, *value) if hasattr(value, "tolist") else (key, value) for key, value in fields.items()]
     return render(rows, args.format, (10,))
 
 
 def cmd_sweep(args, parser) -> str:
     alpha, beta = resolve_bounds(args, parser)
-    if args.n_from < 2 or args.n_to < args.n_from:
-        parser.error("need 2 <= --from <= --to")
-    if args.n_to > MAX_DAYS:
-        parser.error(f"--to is capped at {MAX_DAYS}")
+    if args.n_to < args.n_from:
+        parser.error("need --from <= --to")
     ns = range(args.n_from, args.n_to + 1)
-    # resolve_bounds checked the bounds, so no MarketParams is built per horizon.
+    # The flag types checked the bounds, so no MarketParams is built per horizon.
     rows = [(n, _bal_ratio(alpha, beta, n), _da_ratio(alpha, beta, n)) for n in ns]
     if args.format == "json":
         table = [{"n": n, "bal": rb, "da": rd} for n, rb, rd in rows]
@@ -230,8 +229,7 @@ def cmd_sweep(args, parser) -> str:
 
 
 def cmd_downturns(args, parser) -> str:
-    params = resolve_params(args, parser, MAX_DOWNTURN_DAYS)
-    rows = downturn_rows(params)
+    rows = downturn_rows(MarketParams(*resolve_bounds(args, parser), args.days))
     if args.format == "json":
         return to_json({"downturns": rows})
     # text and csv coincide: one rate sequence per row.
@@ -265,10 +263,6 @@ def cmd_synth(args, parser) -> str:
     from .backtest import series_csv, synthetic_prices, window_end
 
     alpha, beta = resolve_bounds(args, parser)
-    if not 1 <= args.months <= MAX_MONTHS:
-        parser.error(f"--months must be between 1 and {MAX_MONTHS}")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
     try:
         window_end(args.start, args.months)
     except ValueError as exc:

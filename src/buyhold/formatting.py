@@ -62,10 +62,12 @@ def read_text(path) -> str:
 def csv_records(text: str):
     """The records ``csv.reader`` reads from ``text``, blank ones included, one at a time.
 
-    Raises ParseError at the row where ``csv`` stops: a carriage return
-    inside a line, or a field past ``csv.field_size_limit()``.
+    The dialect is strict about quotes.  Raises ParseError at the row
+    where ``csv`` stops: a carriage return inside a line, a field past
+    ``csv.field_size_limit()``, a quote still open at the end of the
+    text, or a closing quote followed by anything but a comma or a line end.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text), strict=True)
     try:
         yield from reader
     except csv.Error as exc:

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import pickle
+import re
 from collections import Counter
 from datetime import date, timedelta
 from itertools import groupby
@@ -64,7 +65,7 @@ BAD_BOUNDS = [
 
 
 def reference_parse_prices(text: str) -> PriceSeries:
-    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")), strict=True)
     try:
         rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     except csv.Error as exc:
@@ -236,11 +237,18 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text, row",
-        [("date,close\r1997-01-02,1\r1997-01-03,2\r", 1), ("date,close\n1997-01-02,1" + "0" * 200_000 + "\n", 2)],
-        ids=["bare-carriage-return", "field-past-size-limit"],
+        [
+            ("date,close\r1997-01-02,1\r1997-01-03,2\r", 1),
+            ("date,close\n1997-01-02,1" + "0" * 200_000 + "\n", 2),
+            ('date,close\n2000-01-03,4\n2000-01-04,"5"0\n', 3),
+            ('date,close\n2000-01-03,4\n2000-01-04,"5\n', 3),
+            ('date,close\n2000-01-03,4\n2000-01-04,"5', 3),
+        ],
+        ids=["bare-carriage-return", "field-past-size-limit", "text-after-quote", "open-quote", "open-quote-at-end"],
     )
     def test_unreadable_csv(self, text, row):
-        # A bare carriage return, and a field past csv.field_size_limit.
+        # A bare carriage return, a field past csv.field_size_limit, and
+        # quotes that the lenient dialect would read as 50 or 5.
         with pytest.raises(ParseError, match="unreadable CSV") as err:
             parse_prices(text)
         assert err.value.row == row
@@ -294,6 +302,9 @@ class TestParsing:
             parse_prices("date,close\n1997-01-02,100\n1997-01-03,101\n")
             parse_prices("date,close\n1997-01-02,100\n1997-01-03,101")
             assert parse_prices("date,close\r\n1997-01-02,100\r\n").closes.tolist() == [100.0]
+            # Blank lines at the end, which csv reads as blank records.
+            assert parse_prices("date,close\n1997-01-02,100\n\n\n").closes.tolist() == [100.0]
+            assert parse_prices("date,close\r\n1997-01-02,100\r\n\r\n").closes.tolist() == [100.0]
             assert reader.call_count == 0
             for text in ['date,close\n1997-01-02,"100"\n', "date,close\r\n1997-01-02,100\r"]:
                 reader.reset_mock()
@@ -304,6 +315,8 @@ class TestParsing:
                 ("date,close\n1997-01-02,100\n\n1997-01-03,x\n", (4, 2)),
                 ("date,close\r\n1997-01-02,100\r\n1997-01-03,x\r\n", (3, 2)),
                 ("date,close\r\n1997-01-02,100\r1997-01-03,101\r\n", (2, None)),
+                # A last line of spaces is no blank line: it has one field.
+                ("date,close\n1997-01-02,1\n \t\n", (3, None)),
             ]:
                 reader.reset_mock()
                 with pytest.raises(ParseError) as err:
@@ -322,8 +335,11 @@ class TestParsing:
             (lambda: report_json(None), "report_json takes a BacktestReport, got NoneType"),
             (lambda: report_csv(None), "report_csv takes a BacktestReport, got NoneType"),
             (lambda: report_svg(None), "report_svg takes a BacktestReport, got NoneType"),
+            (lambda: segment_monthly(None), "segment_monthly takes a PriceSeries, got NoneType"),
+            (lambda: synthetic_prices(2, 2, start="2000-01-03"), "synthetic_prices takes a date, got str"),
         ],
-        ids=["text-none", "text-bytes", "text-bytearray", "series-none", "series-list", "json", "csv", "svg"],
+        ids=["text-none", "text-bytes", "text-bytearray", "series-none", "series-list", "json", "csv", "svg",
+             "segment", "synthetic-start"],
     )
     def test_argument_of_the_wrong_type_rejected(self, call, message):
         with pytest.raises(TypeError) as err:
@@ -546,6 +562,14 @@ class TestRendering:
         assert svg.startswith("<svg ") or svg.startswith("<svg\n")
         assert svg.rstrip().endswith("</svg>")
         assert svg.count("<polyline") == 2
+
+    def test_svg_of_one_flat_month(self):
+        # One label sits mid-axis, and flat ratios (1 for both plans on flat
+        # prices) get an axis padded by 5% of their value: 0.95 to 1.05.
+        series = parse_prices("date,close\n2000-01-03,10\n2000-01-04,10\n2000-01-05,10\n")
+        svg = report_svg(compare_report(series, TAIPEI_ALPHA, TAIPEI_BETA))
+        assert re.findall(r'points="([^"]*)"', svg) == ["425.00,235.00", "425.00,235.00"]
+        assert re.findall(r'font-size="11">([^<]*)<', svg) == ["0.95", "0.975", "1", "1.025", "1.05", "2000-01"]
 
 
 def reference_synthetic_closes(alpha, beta, months=12, seed=0, start=date(1997, 1, 1), initial_price=100.0):
@@ -826,10 +850,15 @@ _EDGE_TEXTS = [
     "\ufeffdate,close\n1997-01-02,1\n",
     "date,close\n\n1997-01-02,1\n",
     "date,close\n1997-01-02,1\n \t\n",
+    "date,close\n1997-01-02,1\n\n",
+    "date,close\n1997-01-02,1\n1997-01-03,x\n\n\n",
+    "date,close\n1997-01-02,1\n\n \n",
+    "date,close\n\n",
     # CRLF line ends, and carriage returns that are not followed by a newline.
     "date,close\r\n1997-01-02,1\r\n1997-01-03,2",
     "date,close\r\n1997-01-02,1\r",
     "date,close\r\n\r\n1997-01-02,1\r\n",
+    "date,close\r\n1997-01-02,1\r\n\r\n",
     "date,close\r\r\n1997-01-02,1\r\n",
     "date,close\n1997-01-02,1\r1997-01-03,2\n",
     "date,close\n1997-01-02,1\r0\n",

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,14 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", str(path))
         assert (code, out) == (1, "") and err.startswith("error: unreadable CSV") and "row 1" in err
 
+    @pytest.mark.parametrize("data", [b'1,2\n2,"1\n', b'1,2\n"2"1,1\n'], ids=["open-quote", "text-after-quote"])
+    def test_malformed_quote_exits_one(self, tmp_path, capsys, data):
+        # The lenient csv dialect would read these cells as 1 and 21 and print a value.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (1, "") and err.startswith("error: unreadable CSV") and "row 2" in err
+
     def test_bad_row_is_named_before_an_unreadable_line(self):
         # Records are read one at a time, so csv never reaches the bare \r of row 2.
         with pytest.raises(ParseError, match=r"^bad matrix entry: .* \(row 1\)$"):
@@ -151,7 +160,7 @@ class TestSolve:
         with pytest.raises(ParseError):
             read_matrix_csv("1,\uff12\n3,4\n")
         cells = read_matrix_csv("1e-05, 1.5e+20\n0.7142857142857143 ,3\n")
-        assert cells.tolist() == [[1e-05, 1.5e20], [0.7142857142857143, 3.0]]
+        assert cells == [[1e-05, 1.5e20], [0.7142857142857143, 3.0]]
 
     def test_svg_not_offered(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -231,6 +240,15 @@ class TestSweep:
         assert code == 0
         assert out.count("<polyline") == 2
         assert out.rstrip().endswith("</svg>")
+
+    def test_svg_of_one_horizon(self, capsys):
+        # One label sits mid-axis.  At alpha = beta = 2 and n = 2 both ratios
+        # are 4/3, a flat series, whose axis is padded by 5% of its value.
+        code, out, _ = run_cli(capsys, "sweep", "--preset", "taipei", "--from=5", "--to=5", "--format=svg")
+        assert code == 0 and [p.split(",")[0] for p in re.findall(r'points="([^"]*)"', out)] == ["425.00"] * 2
+        code, out, _ = run_cli(capsys, "sweep", "--alpha=2", "--beta=2", "--from=2", "--to=2", "--format=svg")
+        assert code == 0 and re.findall(r'points="([^"]*)"', out) == ["425.00,235.00"] * 2
+        assert re.findall(r'font-size="11">([^<]*)<', out) == ["1.267", "1.3", "1.333", "1.367", "1.4", "2"]
 
     def test_usage_errors(self):
         usage_error("sweep", "--preset", "taipei", "--from", "5", "--to", "3")

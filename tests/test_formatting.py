@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,3 +74,9 @@ class TestToJson:
         for value in _EDGES:
             for near in (value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf)):
                 assert to_json([near, {"v": near}]) == reference_to_json([near, {"v": near}])
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes"], ids=["object", "set", "bytes"])
+    def test_unwritable_object_is_a_type_error(self, value):
+        # As json.dumps: a value with no JSON spelling raises TypeError naming its type.
+        with pytest.raises(TypeError, match=f"^Object of type {type(value).__name__} is not JSON serializable$"):
+            to_json({"rows": [value]})

@@ -24,6 +24,7 @@ from buyhold import (
     offline_optimum,
     payoff_matrix_K,
     preset_bounds,
+    preset_params,
     solve_game_closed_form,
     static_ratio_via_downturns,
 )
@@ -210,6 +211,13 @@ class TestMarketParams:
             assert beta == pytest.approx(cap, abs=1e-15)
         with pytest.raises(KeyError):
             preset_bounds("zurich")
+
+    def test_preset_params(self):
+        assert preset_params("taipei", 21) == MarketParams(*preset_bounds("taipei"), 21)
+        with pytest.raises(KeyError, match="unknown preset 'zurich'"):
+            preset_params("zurich", 21)
+        with pytest.raises(ValueError, match="horizon n must be an integer >= 2"):
+            preset_params("taipei", 1)
 
 
 class TestSequences:

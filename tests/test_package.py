@@ -197,3 +197,24 @@ def _csv_reader_uses(package: Path) -> list[str]:
 def test_only_formatting_tokenizes_csv():
     # formatting.csv_records is the one tokenizer and the one csv.Error handler.
     assert _csv_reader_uses(Path(buyhold.__file__).resolve().parent) == []
+
+
+def _numpy_imports(path: Path) -> list[int]:
+    """The lines of ``path`` that import numpy or a numpy submodule, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_cli_imports_no_numpy():
+    # The flag types and the matrix reader need no arrays; the subcommands
+    # that do reach numpy through games and backtest.
+    assert _numpy_imports(Path(buyhold.__file__).resolve().parent / "cli.py") == []
