@@ -129,7 +129,7 @@ def parse_prices(text: str) -> PriceSeries:
     """
     if not isinstance(text, str):
         hint = ""
-        if isinstance(text, (bytes, bytearray, memoryview)):
+        if isinstance(text, (bytes, bytearray)):
             hint = "; load_prices reads a file and formatting.decode_utf8 decodes bytes"
         raise TypeError(f"parse_prices takes the CSV text as str, got {type(text).__name__}{hint}")
     text = text.lstrip("\ufeff")

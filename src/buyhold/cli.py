@@ -28,7 +28,8 @@ from .svgchart import line_chart
 # games and backtest, and with them numpy, are imported inside the
 # subcommands that use them, so that weights, sweep and downturns start
 # without numpy.  Each flag's type checks its grammar and its range, so a
-# subcommand checks only what involves two flags or the calendar.
+# subcommand checks only what involves two flags or the calendar, and
+# reports it through its own parser, ``args.parser``.
 
 #: Largest horizon for ``weights --days`` and ``sweep --from``/``--to``, whose work is linear in it.
 MAX_DAYS = 10000
@@ -107,24 +108,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", parents=[bounds, output], help="balanced strategy weights and ratio")
     add_days(p, MAX_DAYS)
     add_format(p, ["text", "json", "csv"])
-    p.set_defaults(func=cmd_weights)
+    p.set_defaults(func=cmd_weights, parser=p)
 
     p = sub.add_parser("solve", parents=[output], help="solve a payoff matrix given as CSV")
     p.add_argument("matrix", help="CSV file, row-major, no header, all entries > 0")
     add_format(p, ["text", "json", "csv"])
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, parser=p)
 
     p = sub.add_parser("sweep", parents=[bounds, output], help="ratio curves over a horizon range")
     horizon = dict(type=bounded_integer("horizon", 2, MAX_DAYS), required=True, metavar="N")
     p.add_argument("--from", dest="n_from", help=f"first horizon (2 to {MAX_DAYS})", **horizon)
     p.add_argument("--to", dest="n_to", help=f"last horizon (--from to {MAX_DAYS})", **horizon)
     add_format(p, ["text", "json", "csv", "svg"])
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("downturns", parents=[bounds, output], help="worst-case rate sequences")
     add_days(p, MAX_DOWNTURN_DAYS)
     add_format(p, ["text", "json", "csv"])
-    p.set_defaults(func=cmd_downturns)
+    p.set_defaults(func=cmd_downturns, parser=p)
 
     p = sub.add_parser("backtest", parents=[bounds, output], help="monthly plans on a price CSV")
     p.add_argument("prices", help="CSV file with header 'date,close'")
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=bounded_decimal("tolerance", ">=", 0),
         help="relative slack before a daily move counts as a violation",
     )
-    p.set_defaults(func=cmd_backtest)
+    p.set_defaults(func=cmd_backtest, parser=p)
 
     p = sub.add_parser("synth", parents=[bounds, output], help="seeded synthetic admissible price CSV")
     months = bounded_integer("months", 1, MAX_MONTHS)
@@ -142,24 +143,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=bounded_integer("seed", 0), default=0, help="RNG seed (>= 0)")
     p.add_argument("--start", type=date.fromisoformat, default=date(1997, 1, 1), help="first day (ISO)")
     p.add_argument("--price", type=bounded_decimal("price", ">", 0), default=100.0, help="initial price (> 0)")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, parser=p)
 
     return parser
 
 
-def resolve_bounds(args, parser) -> tuple[float, float]:
+def resolve_bounds(args) -> tuple[float, float]:
     has_ab = args.alpha is not None or args.beta is not None
     if args.preset is not None:
         if has_ab:
-            parser.error("give either --preset or --alpha/--beta, not both")
+            args.parser.error("give either --preset or --alpha/--beta, not both")
         return preset_bounds(args.preset)
     if args.alpha is None or args.beta is None:
-        parser.error("either --preset or both --alpha and --beta are required")
+        args.parser.error("either --preset or both --alpha and --beta are required")
     return args.alpha, args.beta
 
 
-def cmd_weights(args, parser) -> str:
-    params = MarketParams(*resolve_bounds(args, parser), args.days)
+def cmd_weights(args) -> str:
+    params = MarketParams(*resolve_bounds(args), args.days)
     first, interior, last = bal_weight_parts(params)
     b = [first, *[interior] * (params.n - 2), last]
     c = [last, *[interior] * (params.n - 2), first]
@@ -192,7 +193,7 @@ def read_matrix_csv(text: str) -> list[list[float]]:
     return rows
 
 
-def cmd_solve(args, parser) -> str:
+def cmd_solve(args) -> str:
     from .games import solve_game
 
     solution, route = solve_game(read_matrix_csv(read_text(args.matrix)))
@@ -211,10 +212,10 @@ def cmd_solve(args, parser) -> str:
     return render(rows, args.format, (10,))
 
 
-def cmd_sweep(args, parser) -> str:
-    alpha, beta = resolve_bounds(args, parser)
+def cmd_sweep(args) -> str:
+    alpha, beta = resolve_bounds(args)
     if args.n_to < args.n_from:
-        parser.error("need --from <= --to")
+        args.parser.error("need --from <= --to")
     ns = range(args.n_from, args.n_to + 1)
     # The flag types checked the bounds, so no MarketParams is built per horizon.
     rows = [(n, _bal_ratio(alpha, beta, n), _da_ratio(alpha, beta, n)) for n in ns]
@@ -228,15 +229,15 @@ def cmd_sweep(args, parser) -> str:
     return render([("n", "bal_ratio", "da_ratio"), *rows], args.format, (5, 15))
 
 
-def cmd_downturns(args, parser) -> str:
-    rows = downturn_rows(MarketParams(*resolve_bounds(args, parser), args.days))
+def cmd_downturns(args) -> str:
+    rows = downturn_rows(MarketParams(*resolve_bounds(args), args.days))
     if args.format == "json":
         return to_json({"downturns": rows})
     # text and csv coincide: one rate sequence per row.
     return render(rows, "csv")
 
 
-def cmd_backtest(args, parser) -> str:
+def cmd_backtest(args) -> str:
     from .backtest import (
         VIOLATION_SLACK,
         compare_report,
@@ -247,7 +248,7 @@ def cmd_backtest(args, parser) -> str:
         report_svg,
     )
 
-    alpha, beta = resolve_bounds(args, parser)
+    alpha, beta = resolve_bounds(args)
     series = load_prices(args.prices)
     slack = VIOLATION_SLACK if args.tolerance is None else args.tolerance
     report = compare_report(series, alpha, beta, slack=slack)
@@ -259,14 +260,14 @@ def cmd_backtest(args, parser) -> str:
     return head + table + "".join(f"skipped {label}: {reason}\n" for label, reason in report.skipped)
 
 
-def cmd_synth(args, parser) -> str:
+def cmd_synth(args) -> str:
     from .backtest import series_csv, synthetic_prices, window_end
 
-    alpha, beta = resolve_bounds(args, parser)
+    alpha, beta = resolve_bounds(args)
     try:
         window_end(args.start, args.months)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     series = synthetic_prices(
         alpha, beta, months=args.months, seed=args.seed, start=args.start, initial_price=args.price
     )
@@ -274,18 +275,17 @@ def cmd_synth(args, parser) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text = args.func(args, parser)
+        text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except (BuyholdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -40,12 +40,15 @@ def parse_decimal(text: str) -> float:
     return value
 
 
-def decode_utf8(data: bytes) -> str:
-    """``data`` decoded as UTF-8.
+def decode_utf8(data: bytes | bytearray) -> str:
+    """``data``, bytes or a bytearray, decoded as UTF-8.
 
-    Raises ParseError, with the line of the first bad byte as its row,
-    if ``data`` is not UTF-8.
+    Raises TypeError, naming the type, for anything else, and
+    ParseError, with the line of the first bad byte as its row, if
+    ``data`` is not UTF-8.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError(f"decode_utf8 takes bytes or a bytearray, got {type(data).__name__}")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -148,12 +148,7 @@ def solve_primal_dual(H) -> LpSolution:
     largest entry into [0.5, 1), and the solutions are scaled back
     exactly, so no tolerance depends on the magnitude of ``H``.
     """
-    return _primal_dual(as_payoff_matrix(H))
-
-
-def _primal_dual(H: np.ndarray) -> LpSolution:
-    """solve_primal_dual of a matrix that ``as_payoff_matrix`` returned."""
-    H, k = _unit_scaled(H)
+    H, k = _unit_scaled(as_payoff_matrix(H))
     x, y, dual = solve_packing(H)
     residual = max(float(np.max(1.0 - x @ H)), float(np.max(H @ y - 1.0)))
     if residual > OPTIMALITY_TOL:
@@ -179,12 +174,7 @@ def solve_game_lp(H) -> GameSolution:
     Works for any positive payoff matrix, rectangular included.  This
     route never certifies uniqueness (``unique`` is always False).
     """
-    return _game_lp(as_payoff_matrix(H))
-
-
-def _game_lp(H: np.ndarray) -> GameSolution:
-    """solve_game_lp of a matrix that ``as_payoff_matrix`` returned."""
-    lp = _primal_dual(H)
+    lp = solve_primal_dual(H)
     ratio = float(lp.x.sum())
     return GameSolution(
         value=1.0 / ratio,
@@ -250,7 +240,7 @@ def solve_game(H) -> tuple[GameSolution, str]:
     """Solve by the closed form when it applies, else by LP.
 
     Returns ``(solution, route)`` where route is ``"closed-form"`` or
-    ``"lp"``.
+    ``"lp"``.  Each route runs its public function, which checks ``H``.
     """
     H = as_payoff_matrix(H)
     if H.shape[0] == H.shape[1]:
@@ -258,7 +248,7 @@ def solve_game(H) -> tuple[GameSolution, str]:
             return solve_game_closed_form(H), "closed-form"
         except (SingularMatrixError, PreconditionViolated):
             pass
-    return _game_lp(H), "lp"
+    return solve_game_lp(H), "lp"
 
 
 def worst_case_columns(H, x) -> set[int]:

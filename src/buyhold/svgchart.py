@@ -18,10 +18,11 @@ def _fmt(value: float) -> str:
     return format(value, ".2f")
 
 
-def line_chart(x_labels, series, title: str = "", y_label: str = "") -> str:
+def line_chart(x_labels, series, title: str, y_label: str) -> str:
     """Render ``series`` = [(name, values, dashed), ...] over ``x_labels``.
 
-    Each ``values`` holds one number per label.
+    Each ``values`` holds one number per label.  ``title`` heads the
+    chart, and ``y_label`` runs up its y axis.
     """
     x_labels = [str(label) for label in x_labels]
     points = [v for _, values, _ in series for v in values]
@@ -50,18 +51,12 @@ def line_chart(x_labels, series, title: str = "", y_label: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'<text x="16" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.0f})">{y_label}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
-    if y_label:
-        out.append(
-            f'<text x="16" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.0f})">{y_label}</text>'
-        )
 
     # Axes and y ticks.
     x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h

@@ -346,6 +346,11 @@ class TestParsing:
             call()
         assert message in str(err.value)
 
+    def test_memoryview_text_gets_no_decode_hint(self):
+        # decode_utf8 takes bytes and bytearrays only, so the hint names neither helper here.
+        with pytest.raises(TypeError, match="^parse_prices takes the CSV text as str, got memoryview$"):
+            parse_prices(memoryview(b"date,close\n1997-01-02,1\n"))
+
     def test_series_csv_roundtrip(self):
         series = synthetic_prices(TAIPEI_ALPHA, TAIPEI_BETA, months=2, seed=9)
         back = parse_prices(series_csv(series))

@@ -558,6 +558,40 @@ def test_unknown_command_is_usage_error():
     usage_error()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["downturns", "--preset", "taipei", "--alpha", "2", "--beta", "2", "--days", "3"],
+            "give either --preset or --alpha/--beta, not both",
+            id="preset-conflict",
+        ),
+        pytest.param(
+            ["sweep", "--preset", "taipei", "--from", "5", "--to", "3"], "need --from <= --to", id="from-after-to"
+        ),
+        pytest.param(
+            ["synth", "--preset", "taipei", "--start", "9999-11-15", "--months", "3"],
+            "3 months from 9999-11-15 run past 9999-12",
+            id="synth-past-9999-12",
+        ),
+    ],
+)
+def test_usage_error_after_parsing_names_the_subcommand(capsys, argv, message):
+    # The same usage line and prefix as a bad flag value gets from argparse.
+    usage_error(*argv)
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: buyhold {argv[0]} [-h]")
+    assert err.splitlines()[-1] == f"buyhold {argv[0]}: error: {message}"
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_one(capsys, tmp_path, target):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "weights", "--preset", "taipei", "--days", "3", "--out", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno ") and str(tmp_path) in err
+
+
 # Cells that reach past the header and the number grammar: bad, non-finite,
 # non-positive, huge and tiny numbers next to well-formed prices and payoffs.
 _TOKENS = st.sampled_from(

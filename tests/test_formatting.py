@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buyhold.formatting import to_json
+from buyhold.formatting import decode_utf8, to_json
 
 
 def reference_rounded(value):
@@ -80,3 +80,13 @@ class TestToJson:
         # As json.dumps: a value with no JSON spelling raises TypeError naming its type.
         with pytest.raises(TypeError, match=f"^Object of type {type(value).__name__} is not JSON serializable$"):
             to_json({"rows": [value]})
+
+
+class TestDecodeUtf8:
+    def test_bytes_and_bytearray(self):
+        assert decode_utf8("é\n".encode()) == decode_utf8(bytearray("é\n".encode())) == "é\n"
+
+    @pytest.mark.parametrize("data", ["x", None, memoryview(b"x"), 1], ids=["str", "none", "memoryview", "int"])
+    def test_other_types_are_a_type_error(self, data):
+        with pytest.raises(TypeError, match=f"^decode_utf8 takes bytes or a bytearray, got {type(data).__name__}$"):
+            decode_utf8(data)

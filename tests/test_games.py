@@ -124,16 +124,20 @@ def test_closed_form_rejects_a_non_matrix(H, error, match):
 
 
 def test_lp_route_validates_the_game_once():
-    # solve_game checks H once and hands the checked matrix to the LP route;
-    # solve_game_lp and solve_primal_dual still check what they are given.
+    # solve_game reaches the LP route only through the public solve_game_lp,
+    # and solve_game_lp and solve_primal_dual each check what they are given.
     dominated = [[1.0, 1.0], [0.5, 0.4]]
     rectangular = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.4]]
-    with mock.patch.object(games, "as_payoff_matrix", wraps=games.as_payoff_matrix) as check:
+    with mock.patch.object(games, "solve_game_lp", wraps=games.solve_game_lp) as route:
         for H in (dominated, rectangular):
-            check.reset_mock()
-            sol, route = solve_game(H)
-            assert route == "lp"
-            assert check.call_count == 1
+            route.reset_mock()
+            sol, name = solve_game(H)
+            assert name == "lp"
+            route.assert_called_once()
+        route.reset_mock()
+        assert solve_game(K3)[1] == "closed-form"
+        route.assert_not_called()
+    with mock.patch.object(games, "as_payoff_matrix", wraps=games.as_payoff_matrix) as check:
         for solve in (solve_game_lp, solve_primal_dual):
             check.reset_mock()
             solve(rectangular)
@@ -187,6 +191,14 @@ def test_check_extreme_point():
         check_extreme_point(K2, [1.0], x, [0, 1], [0, 1])
     with pytest.raises(DimensionMismatch):
         check_extreme_point(K2, x, x, [0, 5], [0, 1])
+
+
+@pytest.mark.parametrize("rows, cols", [([0, 2], [0, 1]), ([0, 1], [0, 2])], ids=["row", "column"])
+def test_check_extreme_point_index_at_the_count_is_out_of_range(rows, cols):
+    # For a 2x2 game, index 2 is the first one past the end.
+    x = np.array([2.0 / 3.0, 2.0 / 3.0])
+    with pytest.raises(DimensionMismatch, match="out of range"):
+        check_extreme_point(SYM2, x, x, rows, cols)
 
 
 @pytest.mark.parametrize(
@@ -265,6 +277,30 @@ def test_duality_gap_raises(monkeypatch):
     monkeypatch.setattr(games, "solve_packing", feasible_with_gap)
     with pytest.raises(NumericalFailure, match="duality gap"):
         solve_primal_dual([[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "H, primal, accepted",
+    [
+        # The tableau gets [[0.5]] and sum(x) = 2, so the gap of 1e-8 lies
+        # between OPTIMALITY_TOL / 2 and OPTIMALITY_TOL * 2.
+        pytest.param([[1.0]], 2.0, True, id="accepted"),
+        # [[1 - 2**-53]] is not rescaled, and x = 1 - 9e-9 meets x H >= 1 within
+        # OPTIMALITY_TOL, so sum(x) < 1 and the gap lies above OPTIMALITY_TOL * sum(x).
+        pytest.param([[np.nextafter(1.0, 0.0)]], 1.0 - 9e-9, False, id="refused"),
+    ],
+)
+def test_duality_gap_is_relative_to_the_ratio(monkeypatch, H, primal, accepted):
+    dual = primal - 1e-8
+    gap = primal - dual
+    low, high = sorted((OPTIMALITY_TOL * primal, OPTIMALITY_TOL / primal))
+    assert low < gap < high
+    monkeypatch.setattr(games, "solve_packing", lambda H: (np.array([primal]), np.array([dual]), dual))
+    if accepted:
+        assert solve_primal_dual(H).primal_objective == 1.0
+    else:
+        with pytest.raises(NumericalFailure, match="duality gap"):
+            solve_primal_dual(H)
 
 
 def test_scale_covariance():
