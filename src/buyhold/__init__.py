@@ -68,7 +68,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 #: Library modules reachable as ``buyhold.<module>`` without importing them first.
-_SUBMODULES = ("backtest", "errors", "formatting", "games", "linalg", "market", "params", "simplex", "svgchart")
+_SUBMODULES = ("backtest", "errors", "formatting", "games", "market", "params", "svgchart")
 
 __all__ = sorted(_MODULE_OF)
 

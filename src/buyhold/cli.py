@@ -176,10 +176,13 @@ def cmd_weights(args) -> str:
 
 
 def read_matrix_csv(text: str) -> list[list[float]]:
-    """Rows of ``formatting.parse_decimal`` cells, all of one length; solve_game checks the entries."""
+    """Rows of ``formatting.parse_decimal`` cells, all of one length; solve_game checks the entries.
+
+    A leading byte-order mark is dropped, as ``parse_prices`` drops it.
+    """
     rows = []
     # One record at a time: a bad row is named before csv reads the lines after it.
-    for lineno, row in enumerate(csv_records(text), start=1):
+    for lineno, row in enumerate(csv_records(text.lstrip("\ufeff")), start=1):
         if not row:
             continue
         try:
@@ -278,7 +281,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.func(args)
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         else:

@@ -29,9 +29,14 @@ from .errors import (
     PreconditionViolated,
     SingularMatrixError,
 )
-from .linalg import PIVOT_TOL, inverse_sums
-from .simplex import FEASIBILITY_TOL, solve_packing
 
+#: Pivot magnitudes below this are treated as zero (matrix singular).
+PIVOT_TOL = 1e-12
+#: Reduced costs, column entries and ratio-test gaps within this of
+#: zero count as zero.
+FEASIBILITY_TOL = 1e-9
+#: Pivot cap per tableau row and column; unreachable under Bland's rule.
+PIVOTS_PER_LINE = 200
 #: Largest constraint residual, and relative duality gap, the LP route accepts.
 OPTIMALITY_TOL = 1e-8
 #: Payoffs within this of the minimum tie for the worst case.
@@ -149,7 +154,7 @@ def solve_primal_dual(H) -> LpSolution:
     exactly, so no tolerance depends on the magnitude of ``H``.
     """
     H, k = _unit_scaled(as_payoff_matrix(H))
-    x, y, dual = solve_packing(H)
+    x, y, dual = _solve_packing(H)
     residual = max(float(np.max(1.0 - x @ H)), float(np.max(H @ y - 1.0)))
     if residual > OPTIMALITY_TOL:
         raise NumericalFailure(f"LP solution violates its constraints by {residual:.3e}")
@@ -189,7 +194,7 @@ def solve_game_closed_form(H) -> GameSolution:
     """Solve a square nonsingular game through the matrix inverse.
 
     With ``x`` the column sums and ``y`` the row sums of ``H^-1`` (taken
-    from one LU factorisation by ``linalg.inverse_sums``), both
+    from one LU factorisation by ``_inverse_sums``), both
     nonnegative, the ratio is ``sum(x)`` and the strategies are the
     normalized vectors.  Components in ``[-PIVOT_TOL, 0)`` are rounding
     noise and clipped to zero; anything more negative means this route
@@ -216,7 +221,7 @@ def solve_game_closed_form(H) -> GameSolution:
     if m != n:
         raise PreconditionViolated(f"closed form needs a square matrix, got {m}x{n}")
     H, k = _unit_scaled(H)
-    x, y = inverse_sums(H)
+    x, y = _inverse_sums(H)
     if x.min() < -PIVOT_TOL or y.min() < -PIVOT_TOL:
         raise PreconditionViolated(
             "inverse-based candidate has a negative component; use solve_game_lp"
@@ -304,7 +309,7 @@ def check_extreme_point(H, x, y, rows, cols) -> bool:
         return False
     sub = H[np.ix_(rows, cols)]
     try:
-        inverse_sums(sub)
+        _inverse_sums(sub)
     except SingularMatrixError:
         return False
     off_rows = np.setdiff1d(np.arange(m), rows)
@@ -316,3 +321,150 @@ def check_extreme_point(H, x, y, rows, cols) -> bool:
         and np.all(np.abs(x[rows] @ sub - 1.0) <= FEASIBILITY_TOL)
         and np.all(np.abs(sub @ y[cols] - 1.0) <= FEASIBILITY_TOL)
     )
+
+
+def _inverse_sums(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(x, y)`` with ``x = 1ᵀM⁻¹`` and ``y = M⁻¹1`` for a square ``M``.
+
+    LU with partial pivoting, ``PM = LU``, in place on one copy of
+    ``M`` bordered by a ones column and a ones row.  Step ``k`` first
+    brings column ``k`` of ``L`` up to date, swaps the row with the
+    largest remaining entry of that column into the pivot position,
+    then brings row ``k`` of ``U`` up to date; both updates are one
+    matrix-vector product with the finished part of the factors, so no
+    step rewrites the trailing submatrix.  The border makes the ones
+    column end as ``L⁻¹P1`` and the ones row as ``w`` with ``wU = 1ᵀ``;
+    two back-substitutions then give ``Uy = L⁻¹P1`` and ``Lᵀ(Px) = w``.
+    Raises SingularMatrixError as soon as the best available pivot
+    magnitude drops below ``PIVOT_TOL``.
+
+    ``matrix`` must be a nonempty square matrix of finite entries; its
+    callers check that.
+    """
+    m = np.asarray(matrix, dtype=float)
+    n = m.shape[0]
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = m
+    a[n, n] = 0.0
+    perm = np.arange(n)
+    for k in range(n):
+        column = a[k:, k]
+        column -= a[k:, :k] @ a[:k, k]
+        pivot_row = k + int(np.abs(a[k:n, k]).argmax())
+        pivot = a[pivot_row, k]
+        if abs(pivot) < PIVOT_TOL:
+            raise SingularMatrixError(
+                f"pivot {pivot:.3e} below threshold {PIVOT_TOL:g} in column {k}"
+            )
+        if pivot_row != k:
+            a[[k, pivot_row]] = a[[pivot_row, k]]
+            perm[[k, pivot_row]] = perm[[pivot_row, k]]
+        multipliers = a[k + 1 :, k]
+        multipliers /= pivot
+        row = a[k, k + 1 :]
+        row -= a[k, :k] @ a[:k, k + 1 :]
+
+    y = np.empty(n)
+    v = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        y[k] = (a[k, n] - a[k, k + 1 : n] @ y[k + 1 :]) / a[k, k]
+        v[k] = a[n, k] - a[k + 1 : n, k] @ v[k + 1 :]
+    x = np.empty(n)
+    x[perm] = v
+    return x, y
+
+
+# Single-phase simplex for the LP pair of a positive matrix game.
+#
+# For a payoff matrix ``H > 0`` the packing program
+#
+#     maximize 1.y   subject to   H y <= 1,   y >= 0
+#
+# is feasible at ``y = 0``, so the slack basis of the dense tableau
+# ``[H | I | 1 ; -1 | 0 | 0]`` is a valid start and no phase one is
+# needed.  At the optimum the reduced costs of the slack columns are the
+# optimal dual prices, which solve the covering program
+#
+#     minimize 1.x   subject to   x H >= 1,   x >= 0
+#
+# (Chvátal, *Linear Programming*, 1983), so one tableau yields both
+# solutions.  Pivot selection follows Bland's rule (lowest eligible
+# column enters; ratio-test ties broken by the lowest basic variable
+# index), which excludes cycling, so the iteration cap is a pure safety
+# net.  No attempt is made at sparsity or scaling.
+#
+# Each pivot runs in place on buffers allocated once per solve: the
+# entering column is the first ``True`` of one comparison, the ratio test
+# divides only the blocking rows into an inf-filled buffer, the basis is
+# consulted only when the ratio test ties, and the update writes
+# ``outer(factors, pivot row)`` into one scratch matrix and subtracts it
+# from the tableau.  These are the elementwise IEEE operations of the
+# textbook pivot on the same operands, with no BLAS call, so the pivot
+# path and every bit of the result are those of ``T -= np.outer(...)``.
+
+
+def _solve_packing(H):
+    """Solve ``max 1.y s.t. H y <= 1`` and its dual on one tableau.
+
+    Returns ``(x, y, objective)``: ``y`` is read from the final basis,
+    ``x`` from the reduced costs of the slacks, and ``objective`` is the
+    optimal ``1.y``.  ``H`` must be a nonempty 2-D matrix, which
+    solve_primal_dual checks.  Raises NumericalFailure if the pivots
+    stall (no blocking row or the iteration cap), which a positive ``H``
+    never causes.
+    """
+    H = np.asarray(H, dtype=float)
+    m, n = H.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = H
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[-1, :n] = -1.0
+    basis = np.arange(n, n + m)
+    _pivot_until_optimal(T, basis, PIVOTS_PER_LINE * (2 * m + n + 10))
+
+    y = np.zeros(n + m)
+    y[basis] = T[:m, -1]
+    x = np.maximum(T[-1, n : n + m], 0.0)
+    return x, np.maximum(y[:n], 0.0), float(T[-1, -1])
+
+
+def _pivot_until_optimal(T, basis, max_iter):
+    m = T.shape[0] - 1
+    cost, rhs, columns = T[-1, :-1], T[:m, -1], T.T
+    entering = np.empty(cost.shape, dtype=bool)
+    blocking = np.empty(m, dtype=bool)
+    ties = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    factors = np.empty(m + 1)
+    factors_column = factors[:, None]
+    update = np.empty_like(T)
+    for _ in range(max_iter):
+        # Bland: the lowest eligible column enters.
+        enter = int(np.less(cost, -FEASIBILITY_TOL, out=entering).argmax())
+        if not entering[enter]:
+            return
+        col = columns[enter, :m]
+        np.greater(col, FEASIBILITY_TOL, out=blocking)
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=blocking)
+        # The first minimum is the leaving row unless another row ties with it.
+        leave = int(ratios.argmin())
+        rmin = ratios[leave]
+        if rmin == np.inf and not blocking.any():
+            raise NumericalFailure(f"entering column {enter} has no blocking row")
+        np.less_equal(ratios, rmin + FEASIBILITY_TOL * (1.0 + abs(rmin)), out=ties)
+        if np.count_nonzero(ties) != 1:
+            tied = np.flatnonzero(ties)
+            leave = int(tied[np.argmin(basis[tied])])  # Bland tie-break
+        # Pivot on (leave, enter): T -= outer(factors, prow), in place.
+        prow = T[leave]
+        prow /= prow[enter]
+        np.copyto(factors, columns[enter])
+        factors[leave] = 0.0
+        np.multiply(factors_column, prow, out=update)
+        np.subtract(T, update, out=T)
+        columns[enter] = 0.0
+        prow[enter] = 1.0
+        basis[leave] = enter
+    raise NumericalFailure(f"simplex did not terminate within {max_iter} pivots")

@@ -154,6 +154,21 @@ class TestSolve:
         with pytest.raises(ParseError, match=r"^bad matrix entry: .* \(row 1\)$"):
             read_matrix_csv("1,x\n1\r2\n")
 
+    def test_blank_rows_are_skipped(self):
+        assert read_matrix_csv("1,2\n\n2,1\n\n\n") == [[1.0, 2.0], [2.0, 1.0]]
+        # The row number counts the blank lines, so it is the bad row's own line.
+        with pytest.raises(ParseError, match=r"^bad matrix entry: .* \(row 3\)$"):
+            read_matrix_csv("1,2\n\n2,x\n")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # Spreadsheets save "CSV UTF-8" with a leading BOM, as backtest's price files may have.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"2,1\n1,2\n")
+        marked.write_bytes(b"\xef\xbb\xbf2,1\n1,2\n")
+        expected = run_cli(capsys, "solve", str(plain))
+        assert expected[0] == 0
+        assert run_cli(capsys, "solve", str(marked)) == expected
+
     def test_matrix_cell_grammar(self):
         with pytest.raises(ParseError):
             read_matrix_csv("1_0,2\n\u0663,4\n")
@@ -584,12 +599,15 @@ def test_usage_error_after_parsing_names_the_subcommand(capsys, argv, message):
     assert err.splitlines()[-1] == f"buyhold {argv[0]}: error: {message}"
 
 
-@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "target", ["missing/out.txt", ".", ""], ids=["missing-directory", "directory", "empty"]
+)
 def test_unwritable_out_exits_one(capsys, tmp_path, target):
-    path = str(tmp_path / target)
+    # An empty path names no file, so it is refused like any other, not read as stdout.
+    path = str(tmp_path / target) if target else ""
     code, out, err = run_cli(capsys, "weights", "--preset", "taipei", "--days", "3", "--out", path)
     assert (code, out) == (1, "")
-    assert err.startswith("error: [Errno ") and str(tmp_path) in err
+    assert err.startswith("error: [Errno ") and f"'{path}'" in err
 
 
 # Cells that reach past the header and the number grammar: bad, non-finite,

@@ -274,9 +274,20 @@ def test_duality_gap_raises(monkeypatch):
         c = H[0, 0]
         return np.array([1.0, 1.0]) / c, np.array([1.0, 1.0]) / (3.0 * c), 2.0 / (3.0 * c)
 
-    monkeypatch.setattr(games, "solve_packing", feasible_with_gap)
+    monkeypatch.setattr(games, "_solve_packing", feasible_with_gap)
     with pytest.raises(NumericalFailure, match="duality gap"):
         solve_primal_dual([[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_constraint_residual_raises(monkeypatch, side):
+    # The tableau gets [[0.5]], whose optimum is x = y = 2.  The fake misses
+    # x H >= 1 (or H y <= 1) by 2e-8 and has no duality gap.
+    low, high = 2.0 * (1.0 - 2e-8), 2.0 * (1.0 + 2e-8)
+    x, y = (low, low) if side == "primal" else (high, high)
+    monkeypatch.setattr(games, "_solve_packing", lambda H: (np.array([x]), np.array([y]), y))
+    with pytest.raises(NumericalFailure, match="violates its constraints by 2"):
+        solve_primal_dual([[1.0]])
 
 
 @pytest.mark.parametrize(
@@ -295,7 +306,7 @@ def test_duality_gap_is_relative_to_the_ratio(monkeypatch, H, primal, accepted):
     gap = primal - dual
     low, high = sorted((OPTIMALITY_TOL * primal, OPTIMALITY_TOL / primal))
     assert low < gap < high
-    monkeypatch.setattr(games, "solve_packing", lambda H: (np.array([primal]), np.array([dual]), dual))
+    monkeypatch.setattr(games, "_solve_packing", lambda H: (np.array([primal]), np.array([dual]), dual))
     if accepted:
         assert solve_primal_dual(H).primal_objective == 1.0
     else:

@@ -335,6 +335,15 @@ class TestPayoffKernel:
         with pytest.raises(PreconditionViolated, match=r"largest horizon .* is n = 1075$"):
             payoff_matrix_K(MarketParams(2, 2, 1100))
 
+    def test_last_positive_horizon_past_the_log_estimate(self):
+        # 1075 / log2(base) puts the last positive power at 27, but pow rounds
+        # base**-28 up to the smallest subnormal, so n = 29 is the last horizon.
+        base = 360912246850.17554
+        K = payoff_matrix_K(MarketParams(base, base, 29))
+        assert K[0, -1] == 5e-324
+        with pytest.raises(PreconditionViolated, match=r"largest horizon .* is n = 29$"):
+            payoff_matrix_K(MarketParams(base, base, 40))
+
     @pytest.mark.parametrize("preset", sorted(CIRCUIT_BREAKERS))
     def test_toeplitz_layout_matches_elementwise_powers_bit_for_bit(self, preset):
         alpha, beta = preset_bounds(preset)

@@ -2,9 +2,11 @@
 
 import ast
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -57,11 +59,22 @@ def test_import_is_lazy_and_submodules_resolve():
         "assert buyhold.MarketParams is buyhold.params.MarketParams\n"
         "assert 'numpy' not in sys.modules\n"
         "buyhold.market.bal_weights(buyhold.MarketParams(2.0, 2.0, 3))\n"
-        "buyhold.linalg.inverse_sums([[1.0]])\n"
+        "buyhold.games.solve_game_closed_form([[1.0]])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(buyhold.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_console_script_runs_the_cli(monkeypatch, capsys):
+    # An installed `buyhold` calls the [project.scripts] target with no
+    # arguments, so it reads the command line from sys.argv.
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    entry = pkgutil.resolve_name(scripts["buyhold"])
+    monkeypatch.setattr(sys, "argv", ["buyhold", "weights", "--preset", "taipei", "--days", "5"])
+    assert entry() == 0
+    assert capsys.readouterr().out == (root / "tests" / "golden" / "weights.txt").read_bytes().decode("utf-8")
 
 
 def _unreferenced_public_names(package: Path) -> list[str]:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from buyhold.simplex import solve_packing
+from buyhold import NumericalFailure
+from buyhold.games import _pivot_until_optimal
+from buyhold.games import _solve_packing as solve_packing
 
 
 def test_maximization_via_negation():
@@ -143,10 +145,17 @@ def test_solutions_are_pinned_bit_for_bit(name):
     assert got == PINNED_BITS[name]
 
 
-def test_dimension_validation():
-    with pytest.raises(ValueError):
-        solve_packing([1.0, 2.0])
-    with pytest.raises(ValueError):
-        solve_packing(np.ones((0, 3)))
-    with pytest.raises(ValueError):
-        solve_packing(np.ones((2, 2, 2)))
+def test_entering_column_without_a_blocking_row_raises():
+    # max y0 s.t. -y0 + s = 1: y0 enters with no positive entry, so it is unbounded.
+    T = np.array([[-1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
+    with pytest.raises(NumericalFailure, match="entering column 0 has no blocking row"):
+        _pivot_until_optimal(T, np.array([1]), 10)
+
+
+def test_pivot_cap_raises():
+    # max y0 s.t. y0 + s = 1 takes one pivot, and one more pass finds no entering column.
+    T = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
+    with pytest.raises(NumericalFailure, match="did not terminate within 0 pivots"):
+        _pivot_until_optimal(T.copy(), np.array([1]), 0)
+    _pivot_until_optimal(T, np.array([1]), 2)
+    assert T[-1, -1] == 1.0
