@@ -43,12 +43,13 @@ OPTIMALITY_TOL = 1e-8
 TIE_TOL = 1e-10
 
 
-def _float_matrix(matrix) -> np.ndarray:
-    """``matrix`` as a nonempty 2-D float array, a scalar as a 1x1 one.
+def as_payoff_matrix(matrix) -> np.ndarray:
+    """Validate and return a payoff matrix as a 2-D float array.
 
-    Raises DimensionMismatch unless ``matrix`` is a nonempty matrix whose
-    rows have equal lengths, and NonPositiveEntry if an entry is not a
-    finite real number.
+    A scalar becomes a 1x1 matrix.  Every entry must be a finite and
+    strictly positive real number.
+    Raises DimensionMismatch unless ``matrix`` is a nonempty matrix with
+    rows of equal length, and NonPositiveEntry for any other bad entry.
     """
     try:
         a = np.asarray(matrix)
@@ -59,23 +60,15 @@ def _float_matrix(matrix) -> np.ndarray:
         raise NonPositiveEntry("payoff entries must be real numbers")
     try:
         a = np.atleast_2d(np.asarray(a, dtype=float))
+    except OverflowError:
+        # An int past the float range.
+        raise NonPositiveEntry("payoff entries must be finite") from None
     except (TypeError, ValueError):
         raise NonPositiveEntry("payoff entries must be real numbers") from None
     if a.ndim != 2 or a.size == 0:
         raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonPositiveEntry("payoff entries must be finite")
-    return a
-
-
-def as_payoff_matrix(matrix) -> np.ndarray:
-    """Validate and return a payoff matrix as a 2-D float array.
-
-    Every entry must be a finite and strictly positive real number.
-    Raises DimensionMismatch unless ``matrix`` is a nonempty matrix with
-    rows of equal length, and NonPositiveEntry for any other bad entry.
-    """
-    a = _float_matrix(matrix)
     if np.any(a <= 0.0):
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise NonPositiveEntry(f"payoff entry ({i}, {j}) = {a[i, j]:g} is not positive")
@@ -201,22 +194,18 @@ def solve_game_closed_form(H) -> GameSolution:
     does not apply and the caller must fall back to solve_game_lp.
 
     Raises DimensionMismatch unless ``H`` is a nonempty matrix with rows
-    of equal length, NonPositiveEntry if an entry is not a finite real
-    number, SingularMatrixError if ``H`` is singular, and
+    of equal length, NonPositiveEntry if an entry is not a finite
+    positive real number, SingularMatrixError if ``H`` is singular, and
     PreconditionViolated if ``H`` is not square or a component of the
     candidate solutions is genuinely negative.  ``unique`` is True iff
     every component of both candidates exceeds ``PIVOT_TOL``.
-
-    Unlike the LP route, the algebra here never divides by payoff
-    entries, so matrices with zero entries (e.g. the identity) are
-    accepted as long as the candidates come out nonnegative.
 
     The inverse is taken of ``H`` scaled by the power of two that brings
     its largest magnitude into [0.5, 1), and the ratio and value are
     scaled back exactly, so ``PIVOT_TOL`` does not depend on the
     magnitude of ``H``.
     """
-    H = _float_matrix(H)
+    H = as_payoff_matrix(H)
     m, n = H.shape
     if m != n:
         raise PreconditionViolated(f"closed form needs a square matrix, got {m}x{n}")
@@ -245,14 +234,14 @@ def solve_game(H) -> tuple[GameSolution, str]:
     """Solve by the closed form when it applies, else by LP.
 
     Returns ``(solution, route)`` where route is ``"closed-form"`` or
-    ``"lp"``.  Each route runs its public function, which checks ``H``.
+    ``"lp"``.  Each route runs its public function, which checks ``H``;
+    the closed form refuses a non-square ``H`` as not applying.
     """
-    H = as_payoff_matrix(H)
-    if H.shape[0] == H.shape[1]:
-        try:
-            return solve_game_closed_form(H), "closed-form"
-        except (SingularMatrixError, PreconditionViolated):
-            pass
+    try:
+        return solve_game_closed_form(H), "closed-form"
+    except (SingularMatrixError, PreconditionViolated):
+        pass
+    # Outside the handler, so an LP error does not carry the closed form's.
     return solve_game_lp(H), "lp"
 
 
@@ -263,8 +252,13 @@ def worst_case_columns(H, x) -> set[int]:
     mixed row strategy ``x / sum(x)``.  All minimizers within
     ``TIE_TOL`` are returned, since an equalizing strategy ties on
     every column.  Raises ValueError if an entry of ``x`` is not finite.
+
+    Ties are judged on ``H`` and ``x`` each scaled by the power of two
+    that brings its largest magnitude into [0.5, 1), as in the two
+    solution routes, so the answer does not depend on the scale of
+    either.
     """
-    H = as_payoff_matrix(H)
+    H, _ = _unit_scaled(as_payoff_matrix(H))
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != H.shape[0]:
         raise DimensionMismatch(f"x has length {x.shape[0]}, matrix has {H.shape[0]} rows")
@@ -272,7 +266,7 @@ def worst_case_columns(H, x) -> set[int]:
         raise ValueError("x must be finite numbers")
     if np.any(x < 0.0) or not np.any(x > 0.0):
         raise PreconditionViolated("x must be nonnegative and nonzero")
-    against = x @ H
+    against = _unit_scaled(x)[0] @ H
     return set(np.flatnonzero(against <= against.min() + TIE_TOL).tolist())
 
 

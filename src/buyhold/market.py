@@ -34,6 +34,7 @@ from .params import (
     bal_weight_parts,
     check_bounds,
     check_integer,
+    check_square_horizon,
     check_type,
     da_ratio,
     downturn_rows,
@@ -94,8 +95,11 @@ def payoff_matrix_K(params: MarketParams) -> np.ndarray:
     that starts at gap ``i``.  Raises PreconditionViolated when a corner
     entry, ``alpha**-(n-1)`` or ``beta**-(n-1)``, would round to 0; the
     message names the largest horizon whose entries stay positive.
+    Raises PreconditionViolated before building anything when ``n``
+    exceeds MAX_SQUARE_HORIZON.
     """
     check_type(params, MarketParams, "payoff_matrix_K")
+    check_square_horizon(params, "payoff_matrix_K")
     n = params.n
     gap = np.arange(n - 1, -n, -1)
     # One power with exponent -|i - j|, so no entry can overflow.

@@ -29,6 +29,11 @@ CIRCUIT_BREAKERS = {
     "vienna": (0.95, 1.05),
 }
 
+#: Largest horizon ``n`` of the names that build ``n²`` numbers:
+#: ``downturn_rows``, ``downturns`` and ``payoff_matrix_K``.  At the cap
+#: ``K`` holds 4096² floats, 128 MiB.
+MAX_SQUARE_HORIZON = 4096
+
 
 def check_number(value, name: str, relation: str, bound) -> None:
     """Raise ValueError unless ``value`` is a finite number ``relation`` ``bound``.
@@ -111,6 +116,18 @@ class MarketParams:
         return MarketParams, (self.alpha, self.beta, self.n)
 
 
+def check_square_horizon(params: MarketParams, name: str) -> None:
+    """Raise PreconditionViolated if ``params.n`` exceeds MAX_SQUARE_HORIZON.
+
+    ``name`` builds ``n²`` numbers, so this runs before it allocates any.
+    """
+    if params.n > MAX_SQUARE_HORIZON:
+        raise PreconditionViolated(
+            f"{name} builds n² numbers; n = {params.n} exceeds "
+            f"MAX_SQUARE_HORIZON = {MAX_SQUARE_HORIZON}"
+        )
+
+
 def preset_bounds(name: str) -> tuple[float, float]:
     """Return (alpha, beta) for a named circuit-breaker preset."""
     try:
@@ -135,9 +152,11 @@ def downturn_rows(params: MarketParams) -> list[list[float]]:
     and division, not powers, so each generated sequence is exactly
     admissible under stepwise validation.  Raises PreconditionViolated
     when a rate leaves the float range, rising to ``inf`` or falling to
-    ``0``.
+    ``0``, and before building anything when ``n`` exceeds
+    MAX_SQUARE_HORIZON.
     """
     check_type(params, MarketParams, "downturn_rows")
+    check_square_horizon(params, "downturn_rows")
     n, alpha, beta = params.n, float(params.alpha), float(params.beta)
     rise = list(accumulate(repeat(alpha, n), operator.mul))
     # The sequence that peaks on day p (0-based) is the rise up to p, then

@@ -71,10 +71,10 @@ def test_closed_form_symmetric_two():
 
 
 def test_closed_form_identity():
-    sol = solve_game_closed_form(np.eye(2))
-    assert sol.ratio == pytest.approx(2.0, abs=1e-12)
-    assert sol.online_strategy == pytest.approx([0.5, 0.5], abs=1e-12)
-    assert sol.unique
+    # Both routes read the game through as_payoff_matrix, so a zero entry is refused.
+    for solve in (solve_game_closed_form, solve_game):
+        with pytest.raises(NonPositiveEntry, match=r"entry \(0, 1\) = 0 is not positive"):
+            solve(np.eye(2))
 
 
 def test_closed_form_downturn_kernel():
@@ -114,6 +114,7 @@ NOT_A_MATRIX = DimensionMismatch, "expected a nonempty 2-D matrix"
         pytest.param([[1 + 1j]], NonPositiveEntry, "real numbers", id="complex"),
         pytest.param(np.array([[2.0, 1.0 + 0j], [1.0, 2.0]]), NonPositiveEntry, "real numbers", id="complex-array"),
         pytest.param([["a", 1.0]], NonPositiveEntry, "real numbers", id="string"),
+        pytest.param([[10**400]], NonPositiveEntry, "must be finite", id="int-past-float"),
     ],
 )
 def test_closed_form_rejects_a_non_matrix(H, error, match):
@@ -148,6 +149,15 @@ def test_lp_route_validates_the_game_once():
     assert sol.adversary_strategy.tobytes() == want.adversary_strategy.tobytes()
 
 
+def test_lp_error_after_a_fallback_carries_no_closed_form_error():
+    dominated = [[1.0, 1.0], [0.5, 0.4]]
+    failure = NumericalFailure("stub")
+    with mock.patch.object(games, "solve_game_lp", side_effect=failure):
+        with pytest.raises(NumericalFailure) as raised:
+            solve_game(dominated)
+    assert raised.value.__context__ is None
+
+
 def test_solve_game_prefers_closed_form():
     sol, route = solve_game(K3)
     assert route == "closed-form"
@@ -166,6 +176,22 @@ def test_worst_case_columns():
         worst_case_columns(K3, [0.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         worst_case_columns(K3, [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "H, x, expected",
+    [
+        # Column 1 pays 50% more, however small the payoffs.
+        pytest.param(1e-12 * np.array([[1.0, 1.5]]), [1.0], {0}, id="small-payoffs"),
+        # A near tie holds for the same strategy at any scale.
+        pytest.param([[1.0, 1.0 + 1e-11]], [1.0], {0, 1}, id="unit-strategy"),
+        pytest.param([[1.0, 1.0 + 1e-11]], [1e12], {0, 1}, id="large-strategy"),
+        # The unscaled x @ H overflows to inf, with a RuntimeWarning.
+        pytest.param([[1.0, 2.0], [2.0, 2.0]], [1e308, 1e308], {0}, id="overflow"),
+    ],
+)
+def test_worst_case_columns_ties_on_the_unit_scaled_game(H, x, expected):
+    assert worst_case_columns(H, x) == expected
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -29,6 +29,7 @@ from buyhold import (
     static_ratio_via_downturns,
 )
 from buyhold.market import CIRCUIT_BREAKERS, _times_kernel, bal_weight_parts, downturn_rows
+from buyhold.params import MAX_SQUARE_HORIZON
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
@@ -379,6 +380,22 @@ class TestPayoffKernel:
                 best = offline_optimum(seq)
                 for i in range(params.n):
                     assert K[i, j] == pytest.approx(seq[i] / best, rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [downturn_rows, downturns, payoff_matrix_K])
+@pytest.mark.parametrize("n", [MAX_SQUARE_HORIZON + 1, 10**9], ids=["cap+1", "1e9"])
+def test_square_builders_refuse_a_horizon_past_the_cap_before_allocating(build, n):
+    # Bounds this close to 1 keep every entry positive, so only the cap refuses.
+    params = MarketParams(1.0000001, 1.0000001, n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionViolated, match=f"exceeds MAX_SQUARE_HORIZON = {MAX_SQUARE_HORIZON}$"):
+            build(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One row at n = 10**9 would be 8 GB.
+    assert peak < 2**20
 
 
 class TestDeterminant:

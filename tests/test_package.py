@@ -165,8 +165,9 @@ _VECTOR_CALLS = {
         (["a"], ValueError, "could not convert string to float"),
         ([[1, 2], [3]], ValueError, "inhomogeneous shape"),
         ([object()], TypeError, r"float\(\) argument must be"),
+        ([10**400], OverflowError, "int too large to convert to float"),
     ],
-    ids=["string", "ragged", "object"],
+    ids=["string", "ragged", "object", "int-past-float"],
 )
 def test_vector_of_the_wrong_type_raises_numpys_error(name, vector, error, message):
     # The documented contract: numpy's own conversion error, unwrapped.
