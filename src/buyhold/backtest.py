@@ -24,7 +24,7 @@ import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DuplicateDate, LengthMismatch, NonPositivePrice, ParseError, PreconditionViolated
-from .formatting import csv_records, json_float, parse_decimal, read_text, render
+from .formatting import csv_records, json_block, json_float, json_value, parse_decimal, read_text, render
 from .market import bal_weights, da_weights
 from .params import MarketParams, check_bounds, check_integer, check_number, check_type
 from .svgchart import line_chart
@@ -368,13 +368,22 @@ def compare_report(
     return BacktestReport(alpha=alpha, beta=beta, windows=windows, skipped=tuple(skipped))
 
 
+def _check_day(start, name: str) -> None:
+    """Raise TypeError, naming the type, unless ``start`` is a date and not a datetime."""
+    # A datetime is a date, but date arithmetic refuses to mix the two.
+    if isinstance(start, datetime) or not isinstance(start, date):
+        raise TypeError(f"{name} takes a date, got {type(start).__name__}")
+
+
 def window_end(start: date, months: int) -> date:
     """The last day of the ``months`` calendar months that begin with ``start``'s.
 
-    Raises ValueError unless ``months`` is an integer (to
-    ``operator.index``) >= 1, the window ends by ``date.max``, in
-    December 9999, and it holds a weekday from ``start`` on.
+    Raises TypeError unless ``start`` is a date and not a datetime, and
+    ValueError unless ``months`` is an integer (to ``operator.index``)
+    >= 1, the window ends by ``date.max``, in December 9999, and it
+    holds a weekday from ``start`` on.
     """
+    _check_day(start, "window_end")
     check_integer(months, "months", 1)
     # Calendar months counted from January of year 0.
     last = start.year * 12 + start.month - 1 + months - 1
@@ -402,14 +411,14 @@ def synthetic_prices(
     Each day's rate factor is drawn uniformly from ``[1/beta, alpha]``,
     so every step (within and across months) respects the bounds; the
     price moves by the reciprocal factor.  Raises TypeError unless
-    ``start`` is a date, ValueError unless ``alpha`` and ``beta`` are
-    finite numbers > 1, ``initial_price`` is a finite number > 0,
-    ``seed`` is an integer (to ``operator.index``) >= 0 and
+    ``start`` is a date and not a datetime, ValueError unless ``alpha``
+    and ``beta`` are finite numbers > 1, ``initial_price`` is a finite
+    number > 0, ``seed`` is an integer (to ``operator.index``) >= 0 and
     ``window_end`` accepts the window, and PreconditionViolated if a
     price overflows or falls below the normal float range.
     """
     check_bounds(alpha, beta)
-    check_type(start, date, "synthetic_prices")
+    _check_day(start, "synthetic_prices")
     end = window_end(start, months)
     check_number(initial_price, "initial_price", ">", 0)
     check_integer(seed, "seed", 0)
@@ -431,14 +440,6 @@ def series_csv(series: PriceSeries) -> str:
     """Render a PriceSeries in the input CSV format."""
     rows = [(day.isoformat(), close) for day, close in zip(series.dates, series.closes)]
     return render([("date", "close"), *rows], "csv")
-
-
-def _json_array(items: list[str], indent: str) -> str:
-    """``items``, each written for the depth below ``indent``, as a JSON array at ``indent``."""
-    if not items:
-        return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
 def _violation_json(v: Violation) -> str:
@@ -466,9 +467,9 @@ def _window_json(window: WindowReport) -> str:
         # compare_report gives both strategies of a month one violations tuple.
         if r.violations is not shared:
             shared = r.violations
-            violations = _json_array(list(map(_violation_json, shared)), "          ")
+            violations = json_block(list(map(_violation_json, shared)), "          ")
         strategies.append(_strategy_json(name, r, violations))
-    strategies = _json_array(strategies, "      ")
+    strategies = json_block(strategies, "      ")
     return (
         f'{{\n      "label": {encode_basestring_ascii(window.label)},\n'
         f'      "n": {int.__repr__(window.n)},\n'
@@ -482,27 +483,20 @@ def report_json(report: BacktestReport) -> str:
     The layout is ``json.dumps(indent=2)``'s, with a newline at the end:
     the bytes ``formatting.to_json`` writes for the report's payload of
     params, windows with their strategies and violations, and skipped
-    months.  Each record is written from one fixed template at its
-    depth, and a violations tuple that a month's strategies share is
-    written once.  Floats are spelled by ``formatting.json_float``,
+    months.  The params and the skipped months go through
+    ``formatting.json_value``, and every container is laid out by
+    ``formatting.json_block``.  Each window, strategy and violation
+    record is written from one fixed template at its depth, and a
+    violations tuple that a month's strategies share is written once.
+    In those records floats are spelled by ``formatting.json_float``,
     strings by ``encode_basestring_ascii`` and ints by ``int.__repr__``.
     Raises TypeError unless ``report`` is a BacktestReport.
     """
     check_type(report, BacktestReport, "report_json")
-    windows = _json_array(list(map(_window_json, report.windows)), "  ")
-    skipped = _json_array(
-        [
-            f'{{\n      "window": {encode_basestring_ascii(label)},\n'
-            f'      "reason": {encode_basestring_ascii(reason)}\n    }}'
-            for label, reason in report.skipped
-        ],
-        "  ",
-    )
-    return (
-        f'{{\n  "params": {{\n    "alpha": {json_float(report.alpha)},\n'
-        f'    "beta": {json_float(report.beta)}\n  }},\n'
-        f'  "windows": {windows},\n  "skipped": {skipped}\n}}\n'
-    )
+    params = json_value({"alpha": report.alpha, "beta": report.beta}, "  ")
+    windows = json_block(list(map(_window_json, report.windows)), "  ")
+    skipped = json_value([{"window": label, "reason": reason} for label, reason in report.skipped], "  ")
+    return json_block([f'"params": {params}', f'"windows": {windows}', f'"skipped": {skipped}'], "", "{}") + "\n"
 
 
 def report_rows(report: BacktestReport) -> list[tuple]:

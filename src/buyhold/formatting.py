@@ -3,7 +3,8 @@
 ``render`` turns rows of cells into CSV or aligned text, ``to_json``
 writes a payload as indented JSON in one recursive pass; both give a
 float 12 significant digits.  ``json_float`` is the one spelling of a
-float in JSON, which ``to_json`` and ``backtest.report_json`` share.
+float in JSON and ``json_block`` the one layout of a JSON container,
+which ``to_json`` and ``backtest.report_json`` share.
 ``parse_decimal`` is the one grammar for the numbers the package reads,
 and ``read_text`` (through ``decode_utf8``) and ``csv_records`` its one
 reader of input files.  No numpy is imported here: arrays are recognised
@@ -122,7 +123,20 @@ def json_float(value: float) -> str:
     return _JSON_NONFINITE.get(text) or repr(float(text))
 
 
-def _json(value, indent: str) -> str:
+def json_block(items, indent: str, brackets: str = "[]") -> str:
+    """``items``, each written for the depth below ``indent``, as a JSON container at ``indent``.
+
+    ``brackets`` is ``"[]"`` for an array, ``"{}"`` for an object of ``"key": value`` items.
+    """
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    # One f-string copies the joined items once, where a chain of + copies them per step.
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+
+
+def json_value(value, indent: str) -> str:
+    """``value`` written by ``to_json``'s rules as JSON at depth ``indent``, with no final newline."""
     if isinstance(value, float):
         return json_float(value)
     if isinstance(value, str):
@@ -137,17 +151,12 @@ def _json(value, indent: str) -> str:
         return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        items = [f"{encode_basestring_ascii(key)}: {json_value(item, inner)}" for key, item in value.items()]
+        return json_block(items, indent, "{}")
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        return json_block([json_value(item, inner) for item in value], indent)
     if hasattr(value, "tolist"):
-        return _json(value.tolist(), indent)
+        return json_value(value.tolist(), indent)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -159,4 +168,4 @@ def to_json(payload) -> str:
     and numpy arrays or scalars are rounded as ``fmt12`` rounds them;
     ints, bools, ``None`` and strings are written as ``json`` writes them.
     """
-    return _json(payload, "") + "\n"
+    return json_value(payload, "") + "\n"

@@ -36,6 +36,7 @@ from .params import (
     check_integer,
     check_square_horizon,
     check_type,
+    check_vector_horizon,
     da_ratio,
     downturn_rows,
     preset_bounds,
@@ -77,7 +78,11 @@ def evaluate_static(weights, rates) -> float:
 def downturns(params: MarketParams) -> list[np.ndarray]:
     """The ``n`` worst-case rate sequences of ``downturn_rows``, as arrays."""
     check_type(params, MarketParams, "downturns")
-    return [np.array(row) for row in downturn_rows(params)]
+    rows = downturn_rows(params)
+    # Each row becomes its array in place, so its floats are freed as the array is made.
+    for p, row in enumerate(rows):
+        rows[p] = np.array(row)
+    return rows
 
 
 def payoff_matrix_K(params: MarketParams) -> np.ndarray:
@@ -147,9 +152,11 @@ def bal_weights(params: MarketParams) -> np.ndarray:
 
     The ``(first, interior, last)`` values of ``bal_weight_parts`` laid
     out over the ``n`` days.  All components are strictly positive and
-    sum to 1.
+    sum to 1.  Raises PreconditionViolated before building anything when
+    ``n`` exceeds MAX_SQUARE_HORIZON ** 2.
     """
     check_type(params, MarketParams, "bal_weights")
+    check_vector_horizon(params.n, "bal_weights")
     first, interior, last = bal_weight_parts(params)
     w = np.full(params.n, interior)
     w[0] = first
@@ -161,6 +168,7 @@ def bal_adversary(params: MarketParams) -> np.ndarray:
     """Optimal mixture over downturns: balanced weights with the ends swapped.
 
     Equivalently, the balanced weights with alpha and beta exchanged.
+    Past the horizon cap it raises as ``bal_weights`` does.
     """
     check_type(params, MarketParams, "bal_adversary")
     c = bal_weights(params)
@@ -169,8 +177,13 @@ def bal_adversary(params: MarketParams) -> np.ndarray:
 
 
 def da_weights(n: int) -> np.ndarray:
-    """Dollar averaging: the uniform allocation 1/n per day."""
+    """Dollar averaging: the uniform allocation 1/n per day.
+
+    Raises PreconditionViolated before building anything when ``n``
+    exceeds MAX_SQUARE_HORIZON ** 2.
+    """
     check_integer(n, "horizon n", 2)
+    check_vector_horizon(n, "da_weights")
     return np.full(n, 1.0 / n)
 
 

@@ -31,7 +31,9 @@ CIRCUIT_BREAKERS = {
 
 #: Largest horizon ``n`` of the names that build ``n²`` numbers:
 #: ``downturn_rows``, ``downturns`` and ``payoff_matrix_K``.  At the cap
-#: ``K`` holds 4096² floats, 128 MiB.
+#: ``K`` holds 4096² floats, 128 MiB.  The names that build ``n`` floats,
+#: ``bal_weights``, ``bal_adversary`` and ``da_weights``, take ``n`` up to
+#: the square of the cap, so none asks for more than ``K`` may hold.
 MAX_SQUARE_HORIZON = 4096
 
 
@@ -125,6 +127,18 @@ def check_square_horizon(params: MarketParams, name: str) -> None:
         raise PreconditionViolated(
             f"{name} builds n² numbers; n = {params.n} exceeds "
             f"MAX_SQUARE_HORIZON = {MAX_SQUARE_HORIZON}"
+        )
+
+
+def check_vector_horizon(n: int, name: str) -> None:
+    """Raise PreconditionViolated if ``n`` exceeds MAX_SQUARE_HORIZON ** 2.
+
+    ``name`` builds ``n`` floats, so this runs before it allocates any.
+    """
+    if n > MAX_SQUARE_HORIZON**2:
+        raise PreconditionViolated(
+            f"{name} builds n floats; n = {n} exceeds "
+            f"MAX_SQUARE_HORIZON ** 2 = {MAX_SQUARE_HORIZON**2}"
         )
 
 

@@ -4,7 +4,7 @@ import math
 import pickle
 import re
 from collections import Counter
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from itertools import groupby
 from typing import NamedTuple
 from unittest import mock
@@ -337,9 +337,12 @@ class TestParsing:
             (lambda: report_svg(None), "report_svg takes a BacktestReport, got NoneType"),
             (lambda: segment_monthly(None), "segment_monthly takes a PriceSeries, got NoneType"),
             (lambda: synthetic_prices(2, 2, start="2000-01-03"), "synthetic_prices takes a date, got str"),
+            (lambda: synthetic_prices(2, 2, start=datetime(2000, 1, 3)), "synthetic_prices takes a date, got datetime"),
+            (lambda: backtest.window_end(datetime(2000, 1, 3), 1), "window_end takes a date, got datetime"),
+            (lambda: backtest.window_end("2000-01-03", 1), "window_end takes a date, got str"),
         ],
         ids=["text-none", "text-bytes", "text-bytearray", "series-none", "series-list", "json", "csv", "svg",
-             "segment", "synthetic-start"],
+             "segment", "synthetic-start", "synthetic-datetime", "window-end-datetime", "window-end-str"],
     )
     def test_argument_of_the_wrong_type_rejected(self, call, message):
         with pytest.raises(TypeError) as err:

@@ -398,6 +398,43 @@ def test_square_builders_refuse_a_horizon_past_the_cap_before_allocating(build, 
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: bal_weights(MarketParams(2.0, 2.0, n)),
+        lambda n: bal_adversary(MarketParams(2.0, 2.0, n)),
+        da_weights,
+    ],
+    ids=["bal_weights", "bal_adversary", "da_weights"],
+)
+@pytest.mark.parametrize("n", [MAX_SQUARE_HORIZON**2 + 1, 10**12], ids=["cap+1", "1e12"])
+def test_vector_builders_refuse_a_horizon_past_the_cap_before_allocating(build, n):
+    cap = MAX_SQUARE_HORIZON**2
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionViolated, match=rf"exceeds MAX_SQUARE_HORIZON \*\* 2 = {cap}$"):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The weights at n = 10**12 would be 7.28 TiB.
+    assert peak < 2**20
+
+
+def test_downturns_hold_their_rates_once():
+    params = MarketParams(1.0000001, 1.0000001, 1000)
+    tracemalloc.start()
+    try:
+        rows = downturns(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(row, expected) for row, expected in zip(rows, downturn_rows(params)))
+    # Measured 19.2 MiB: the rows' Python floats plus the arrays made so far.
+    # Holding a second list of every row as well peaked at 26.9 MiB.
+    assert peak < 21 * 2**20
+
+
 class TestDeterminant:
     def test_frozen_values(self):
         assert det_K_closed_form(MarketParams(2.0, 2.0, 3)) == pytest.approx(0.5625, abs=1e-15)
