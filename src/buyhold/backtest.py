@@ -398,6 +398,70 @@ def window_end(start: date, months: int) -> date:
     return end
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _uniform_draws(seed, low: float, high: float, size: int) -> list[float]:
+    """``numpy.random.default_rng(seed).uniform(low, high, size)``, bit for bit.
+
+    The stream is numpy 2's: ``SeedSequence(seed)`` hashes the seed's
+    little-endian 32-bit words into four 64-bit words, which seed a
+    PCG64 (XSL-RR 128/64) generator, and each draw is ``low + (high -
+    low) * d`` with ``d`` the top 53 bits of one output over ``2**53``.
+    Written out here so that ``synth`` does not import ``numpy.random``.
+    """
+    seed = operator.index(seed)
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    # The entropy pool: the first four words, zero-padded, mixed together,
+    # then every further word mixed into each of the four.
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, paired low word first.
+    hash_const = 0x8B51F9DD
+    state_words = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state_words.append(value ^ value >> 16)
+    w0, w1, w2, w3 = (state_words[k] | state_words[k + 1] << 32 for k in range(0, 8, 2))
+    # PCG64's srandom(initstate = w0:w1, initseq = w2:w3), then one step per draw.
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * mult + inc) & _MASK128
+    low = float(low)
+    span = float(high) - low
+    draws = []
+    for _ in range(size):
+        state = (state * mult + inc) & _MASK128
+        xored = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        out = (xored >> rot | xored << (64 - rot)) & _MASK64
+        draws.append(low + span * ((out >> 11) * 2.0**-53))
+    return draws
+
+
 def synthetic_prices(
     alpha: float,
     beta: float,
@@ -410,7 +474,8 @@ def synthetic_prices(
 
     Each day's rate factor is drawn uniformly from ``[1/beta, alpha]``,
     so every step (within and across months) respects the bounds; the
-    price moves by the reciprocal factor.  Raises TypeError unless
+    price moves by the reciprocal factor.  The draws are those of
+    ``numpy.random.default_rng(seed).uniform`` in numpy 2.  Raises TypeError unless
     ``start`` is a date and not a datetime, ValueError unless ``alpha``
     and ``beta`` are finite numbers > 1, ``initial_price`` is a finite
     number > 0, ``seed`` is an integer (to ``operator.index``) >= 0 and
@@ -424,8 +489,7 @@ def synthetic_prices(
     check_integer(seed, "seed", 0)
     days = range((end - start).days + 1)
     dates = [day for day in (start + timedelta(days=k) for k in days) if day.weekday() < 5]
-    rng = np.random.default_rng(seed)
-    factors = rng.uniform(1.0 / beta, alpha, size=len(dates) - 1)
+    factors = np.array(_uniform_draws(seed, 1.0 / beta, alpha, len(dates) - 1), dtype=float)
     # Each close is the previous one divided by that day's factor.  An
     # overflow is reported below as PreconditionViolated, not as a warning.
     with np.errstate(over="ignore"):

@@ -76,13 +76,16 @@ def as_payoff_matrix(matrix) -> np.ndarray:
 
 
 def _unit_scaled(H) -> tuple[np.ndarray, int]:
-    """``(H * 2**-k, k)`` with ``k`` chosen so the largest magnitude lies in [0.5, 1).
+    """``(H * 2**-k, k)`` with ``k`` chosen so the largest entry lies in [0.5, 1).
 
-    Scaling by a power of two is exact, and the game's strategies do not
-    change while its value scales by ``2**-k``, so the tolerances of
-    either route act on the same numbers whatever the scale of ``H``.
+    ``H`` is nonnegative with a positive entry: a payoff matrix that
+    ``as_payoff_matrix`` accepted, or a strategy checked to be one, so
+    its largest entry is its largest magnitude.  Scaling by a power of
+    two is exact, and the game's strategies do not change while its
+    value scales by ``2**-k``, so the tolerances of either route act on
+    the same numbers whatever the scale of ``H``.
     """
-    k = math.frexp(float(np.abs(H).max()))[1]
+    k = math.frexp(float(H.max()))[1]
     return np.ldexp(H, -k), k
 
 

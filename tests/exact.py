@@ -1,9 +1,11 @@
-"""Exact rational values of the scalar closed forms, as an oracle for the float ones.
+"""Exact rational values of the closed forms and of small games, as an oracle for the floats.
 
 Every float is a rational number, so ``Fraction`` gives the true value
 of each formula at the bounds a function is called with.  The formulas
 are the paper's, written directly, with none of the rearrangements the
-package makes to avoid cancellation and overflow in floats.
+package makes to avoid cancellation and overflow in floats.  ``solve``
+is a Gauss-Jordan elimination in ``Fraction``, for the square system a
+game's optimal support defines.
 """
 
 import math
@@ -31,6 +33,22 @@ def da_ratio(alpha, beta, n):
 def det_K_closed_form(alpha, beta, n):
     """``(1 - 1/(alpha*beta))**(n-1)``."""
     return (1 - 1 / (Fraction(alpha) * Fraction(beta))) ** (n - 1)
+
+
+def solve(A, b):
+    """The exact solution ``x`` of ``A @ x = b`` for a nonsingular square ``A``."""
+    n = len(A)
+    rows = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(A, b)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n] for row in rows]
 
 
 def ulps(got: float, exact: Fraction) -> float:

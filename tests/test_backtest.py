@@ -5,7 +5,7 @@ import pickle
 import re
 from collections import Counter
 from datetime import date, datetime, timedelta
-from itertools import groupby
+from itertools import cycle, groupby
 from typing import NamedTuple
 from unittest import mock
 
@@ -43,7 +43,7 @@ from buyhold.backtest import (
     series_csv,
 )
 from buyhold.formatting import decode_utf8, parse_decimal, to_json
-from buyhold.market import bal_weights, check_bounds, da_weights
+from buyhold.market import CIRCUIT_BREAKERS, bal_weights, check_bounds, da_weights, preset_bounds
 
 TAIPEI_ALPHA = 1.0 / 0.93
 TAIPEI_BETA = 1.07
@@ -687,6 +687,53 @@ class TestSynthetic:
         factors = rates[1:] / rates[:-1]
         assert factors.min() >= 1.0 / TAIPEI_BETA - 1e-12
         assert factors.max() <= TAIPEI_ALPHA + 1e-12
+
+
+def numpy_draws(seed, low, high, size):
+    return [x.hex() for x in np.random.default_rng(seed).uniform(low, high, size=size)]
+
+
+def own_draws(seed, low, high, size):
+    return [x.hex() for x in backtest._uniform_draws(seed, low, high, size)]
+
+
+#: Integer seeds of every kind ``synthetic_prices`` takes, from one 32-bit
+#: word to seven, where the words past the fourth are mixed in on their own.
+STREAM_SEEDS = [0, 1, True, np.int64(5), np.uint64(2**63), 2**32, 2**64 + 5, 2**200 + 17]
+
+
+class TestUniformDraws:
+    @pytest.mark.parametrize("preset", sorted(CIRCUIT_BREAKERS))
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
+    def test_short_streams_match_numpy(self, seed, preset):
+        alpha, beta = preset_bounds(preset)
+        for size in (0, 1, 7):
+            assert own_draws(seed, 1.0 / beta, alpha, size) == numpy_draws(seed, 1.0 / beta, alpha, size)
+
+    @pytest.mark.parametrize("seed, preset", zip(STREAM_SEEDS, cycle(sorted(CIRCUIT_BREAKERS))), ids=repr)
+    def test_a_stream_as_long_as_the_longest_synth_matches_numpy(self, seed, preset):
+        # A 1200-month window holds at most 26,090 weekdays, so this covers the longest synth.
+        alpha, beta = preset_bounds(preset)
+        assert own_draws(seed, 1.0 / beta, alpha, 26100) == numpy_draws(seed, 1.0 / beta, alpha, 26100)
+
+    @given(
+        seed=st.integers(0, 2**300),
+        low=st.floats(1e-3, 1.0),
+        width=st.floats(1e-12, 1e3),
+        size=st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_seed_and_bounds_match_numpy(self, seed, low, width, size):
+        assert own_draws(seed, low, low + width, size) == numpy_draws(seed, low, low + width, size)
+
+    def test_pinned_values(self):
+        # The stream is defined by these bits, whatever a later numpy draws.
+        alpha, beta = preset_bounds("taipei")
+        assert own_draws(0, 0.0, 1.0, 3) == ["0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5"]
+        assert own_draws(2**64 + 5, 1.0 / beta, alpha, 2) == ["0x1.0a0011932a374p+0", "0x1.faabaa14791b7p-1"]
+        assert own_draws(2**200 + 17, 1.0 / beta, alpha, 3) == [
+            "0x1.e85c53877a43cp-1", "0x1.fcb744c8df1dcp-1", "0x1.051122509a093p+0"
+        ]
 
 
 class TestPriceSeries:

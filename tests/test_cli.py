@@ -537,6 +537,22 @@ def test_closed_form_subcommands_import_neither_numpy_nor_dataclasses():
     assert done.stdout.count('"downturns"') == 1
 
 
+def test_synth_imports_neither_numpy_random_nor_secrets():
+    # synth draws numpy's default_rng stream in Python; numpy.random costs
+    # about 6 MB and 10 ms of start-up, and pulls in secrets and hashlib.
+    script = (
+        "import sys\n"
+        "from buyhold import cli\n"
+        "assert cli.main(['synth', '--preset', 'taipei', '--months', '2', '--seed', '9']) == 0\n"
+        "loaded = {'numpy.random', 'secrets'} & set(sys.modules)\n"
+        "assert not loaded, f'imported {sorted(loaded)}'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("date,close\n")
+
+
 @pytest.mark.parametrize("value", ["1_1", "\u0661.\u0665", "\uff12", "0x10", "1e999", "-inf", "nan"])
 @pytest.mark.parametrize(
     "flag, argv",
