@@ -16,6 +16,7 @@ import io
 import math
 import os
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from .errors import ParseError
 
@@ -153,7 +154,7 @@ def json_value(value, indent: str) -> str:
     if isinstance(value, dict):
         items = [f"{encode_basestring_ascii(key)}: {json_value(item, inner)}" for key, item in value.items()]
         return json_block(items, indent, "{}")
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, GeneratorType)):
         return json_block([json_value(item, inner) for item in value], indent)
     if hasattr(value, "tolist"):
         return json_value(value.tolist(), indent)
@@ -164,8 +165,9 @@ def to_json(payload) -> str:
     """Indented JSON of ``payload``, every float rounded to 12 significant digits.
 
     The layout is ``json.dumps(payload, indent=2)``'s, with a newline at
-    the end.  Dict keys are strings.  Floats inside dicts, lists, tuples
-    and numpy arrays or scalars are rounded as ``fmt12`` rounds them;
-    ints, bools, ``None`` and strings are written as ``json`` writes them.
+    the end.  Dict keys are strings.  Floats inside dicts, lists, tuples,
+    generators and numpy arrays or scalars are rounded as ``fmt12`` rounds
+    them; a generator is written as a list.  Ints, bools, ``None`` and
+    strings are written as ``json`` writes them.
     """
     return json_value(payload, "") + "\n"

@@ -78,11 +78,7 @@ def evaluate_static(weights, rates) -> float:
 def downturns(params: MarketParams) -> list[np.ndarray]:
     """The ``n`` worst-case rate sequences of ``downturn_rows``, as arrays."""
     check_type(params, MarketParams, "downturns")
-    rows = downturn_rows(params)
-    # Each row becomes its array in place, so its floats are freed as the array is made.
-    for p, row in enumerate(rows):
-        rows[p] = np.array(row)
-    return rows
+    return [np.array(row) for row in downturn_rows(params)]
 
 
 def payoff_matrix_K(params: MarketParams) -> np.ndarray:
@@ -111,25 +107,15 @@ def payoff_matrix_K(params: MarketParams) -> np.ndarray:
     diagonals = np.where(gap <= 0, float(params.alpha), float(params.beta)) ** -np.abs(gap)
     # The corners are the smallest entries, each the bound to the largest exponent.
     if not (diagonals[0] > 0.0 and diagonals[-1] > 0.0):
-        base = max(float(params.alpha), float(params.beta))
+        # The powers of the larger bound fall to 0 first; count those still positive.
+        last = np.count_nonzero(max(float(params.alpha), float(params.beta)) ** -np.arange(n) > 0.0)
         raise PreconditionViolated(
             f"payoff entries round to 0 for {params}; the largest horizon whose "
-            f"entries stay positive is n = {_last_positive_power(base) + 1}"
+            f"entries stay positive is n = {last}"
         )
     # Entry (i, j) is diagonals[n-1-i+j], inside the 2n-1 entries for every i, j < n.
     step = diagonals.strides[0]
     return as_strided(diagonals[n - 1 :], shape=(n, n), strides=(-step, step)).copy()
-
-
-def _last_positive_power(base: float) -> int:
-    """The largest ``m`` with ``base**-m > 0`` in float64, for ``base > 1``."""
-    # The smallest subnormal is 2**-1074, so m lies within a step or two of this.
-    m = max(1, int(1075 / math.log2(base)))
-    while np.float64(base) ** -(m + 1) > 0.0:
-        m += 1
-    while np.float64(base) ** -m == 0.0:
-        m -= 1
-    return m
 
 
 def det_K_closed_form(params: MarketParams) -> float:

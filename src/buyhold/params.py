@@ -13,6 +13,8 @@ on top.  Every function here or in ``market`` that takes a
 
 import math
 import operator
+from collections.abc import Iterator
+from functools import reduce
 from itertools import accumulate, repeat
 
 from .errors import PreconditionViolated
@@ -158,32 +160,33 @@ def preset_params(name: str, n: int) -> MarketParams:
     return MarketParams(alpha=alpha, beta=beta, n=n)
 
 
-def downturn_rows(params: MarketParams) -> list[list[float]]:
-    """The ``n`` worst-case rate sequences for static strategies.
+def downturn_rows(params: MarketParams) -> Iterator[list[float]]:
+    """The ``n`` worst-case rate sequences for static strategies, one list at a time.
 
     Sequence ``j`` (1-based) rises by ``alpha`` for ``j`` days, then
     falls by ``1/beta`` for the rest.  Built by stepwise multiplication
     and division, not powers, so each generated sequence is exactly
-    admissible under stepwise validation.  Raises PreconditionViolated
-    when a rate leaves the float range, rising to ``inf`` or falling to
-    ``0``, and before building anything when ``n`` exceeds
-    MAX_SQUARE_HORIZON.
+    admissible under stepwise validation.  Returns a one-pass iterator
+    that builds each sequence as it is read.  Every check runs at the
+    call, before any sequence: PreconditionViolated when ``n``
+    exceeds MAX_SQUARE_HORIZON, or when a rate leaves the float range,
+    rising to ``inf`` or falling to ``0``.
     """
     check_type(params, MarketParams, "downturn_rows")
     check_square_horizon(params, "downturn_rows")
     n, alpha, beta = params.n, float(params.alpha), float(params.beta)
     rise = list(accumulate(repeat(alpha, n), operator.mul))
+    # Rounding is monotone, so no rate exceeds the last rise, and the first
+    # sequence, which falls from the lowest peak for the most days, ends on
+    # the smallest rate of all.
+    if not (math.isfinite(rise[-1]) and reduce(operator.truediv, repeat(beta, n - 1), alpha) > 0.0):
+        raise PreconditionViolated(f"a downturn rate leaves the float range for {params}")
     # The sequence that peaks on day p (0-based) is the rise up to p, then
     # the peak divided by beta once per remaining day.
-    rows = [
+    return (
         rise[:p] + list(accumulate(repeat(beta, n - 1 - p), operator.truediv, initial=peak))
         for p, peak in enumerate(rise)
-    ]
-    # Rounding is monotone, so each row's smallest rate is its first (alpha)
-    # or its last, and no rate exceeds the last rise.
-    if not (math.isfinite(rise[-1]) and min(row[-1] for row in rows) > 0.0):
-        raise PreconditionViolated(f"a downturn rate leaves the float range for {params}")
-    return rows
+    )
 
 
 def bal_weight_parts(params: MarketParams) -> tuple[float, float, float]:

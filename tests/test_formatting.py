@@ -75,6 +75,10 @@ class TestToJson:
             for near in (value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf)):
                 assert to_json([near, {"v": near}]) == reference_to_json([near, {"v": near}])
 
+    @pytest.mark.parametrize("rows", [[], [[]], [[1.5, 2.0], [1 / 3, 1e300], [np.float64(0.1)]]], ids=["empty", "one-empty", "rates"])
+    def test_generator_is_written_as_its_list(self, rows):
+        assert to_json({"rows": (row for row in rows)}) == to_json({"rows": rows})
+
     @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes"], ids=["object", "set", "bytes"])
     def test_unwritable_object_is_a_type_error(self, value):
         # As json.dumps: a value with no JSON spelling raises TypeError naming its type.

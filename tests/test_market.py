@@ -1,5 +1,7 @@
 import copy
 import itertools
+import math
+import operator
 import pickle
 import tracemalloc
 import warnings
@@ -90,6 +92,15 @@ def admissible(params, rates, rel_tol=1e-12):
     prev = np.concatenate(([1.0], e[:-1]))
     lo, hi = prev / params.beta * (1.0 - rel_tol), prev * params.alpha * (1.0 + rel_tol)
     return bool(np.all((lo <= e) & (e <= hi)))
+
+
+def all_rows(alpha, beta, n):
+    """Every downturn sequence at once: the rise by products, each fall from its peak by quotients."""
+    rise = list(itertools.accumulate(itertools.repeat(alpha, n), operator.mul))
+    return [
+        rise[:p] + list(itertools.accumulate(itertools.repeat(beta, n - 1 - p), operator.truediv, initial=peak))
+        for p, peak in enumerate(rise)
+    ]
 
 
 def params_grid():
@@ -303,6 +314,45 @@ class TestDownturns:
         assert len(got) == n
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
+    def test_refuses_exactly_when_some_rate_leaves_the_float_range(self):
+        # downturn_rows checks only the last rise and the first sequence's last
+        # rate; the reference builds and looks at every rate.  alpha is drawn
+        # log-uniform in (1, 1000], so alpha**n overflows in about a third of
+        # the draws, and beta puts alpha / beta**(n-1) within 3 decades of the
+        # smallest subnormal, 10**-323.5, so about half the rest underflow.
+        # Over 4,000 draws of seed 1 the two never disagreed.
+        rng = np.random.default_rng(26)
+        verdicts = {"accepted": 0, "overflow": 0, "underflow": 0}
+        for _ in range(150):
+            n = int(rng.integers(2, 301))
+            alpha = 1000.0 ** (1.0 - rng.random())
+            beta = 10.0 ** min((np.log10(alpha) + 323.5 + rng.uniform(-3.0, 3.0)) / (n - 1), 308.0)
+            expected = all_rows(alpha, beta, n)
+            params = MarketParams(alpha, beta, n)
+            rates = np.array(expected)
+            if rates.max() == np.inf or rates.min() == 0.0:
+                verdicts["overflow" if rates.max() == np.inf else "underflow"] += 1
+                with pytest.raises(PreconditionViolated, match="float range"):
+                    downturn_rows(params)
+            else:
+                verdicts["accepted"] += 1
+                assert np.array_equal(downturns(params), rates)
+        assert min(verdicts.values()) > 25, verdicts
+
+    @pytest.mark.parametrize("alpha, beta", [(1e200, 2.0), (2.0, 1e200)], ids=["overflow", "underflow"])
+    def test_rows_refuse_a_rate_out_of_range_at_the_call(self, alpha, beta):
+        # A generator function would raise only at the first next().  The type
+        # and the cap are checked at the call too, as the tests of every
+        # MarketParams name and of every square builder show.
+        with pytest.raises(PreconditionViolated, match="float range"):
+            downturn_rows(MarketParams(alpha, beta, 3))
+
+    def test_rows_are_one_pass(self):
+        rows = downturn_rows(MarketParams(2.0, 2.0, 3))
+        assert iter(rows) is rows
+        assert [*rows] == [[2.0, 1.0, 0.5], [2.0, 4.0, 2.0], [2.0, 4.0, 8.0]]
+        assert [*rows] == []
+
     @given(alpha=bounds, beta=bounds, n=small_horizons)
     @settings(max_examples=100, deadline=None)
     def test_always_admissible(self, alpha, beta, n):
@@ -373,6 +423,29 @@ class TestPayoffKernel:
         with pytest.raises(PreconditionViolated, match=rf"is n = {last}$"):
             payoff_matrix_K(MarketParams(alpha, beta, last + 1))
 
+    def test_underflow_message_matches_a_search_of_the_powers(self):
+        # The search starts at the log estimate and steps up while the next
+        # power stays positive, then down while the power is 0.  Bases are
+        # drawn log-uniform in log2(base) from 0.27, a little above 1075/4095,
+        # to 1000, so every one underflows at the cap.  Over 6,000 bases of
+        # another seed the message and the search never disagreed.
+        def last_positive_power(base):
+            m = max(1, int(1075 / math.log2(base)))
+            while np.float64(base) ** -(m + 1) > 0.0:
+                m += 1
+            while np.float64(base) ** -m == 0.0:
+                m -= 1
+            return m
+
+        rng = np.random.default_rng(26)
+        for k in range(300):
+            base = 2.0 ** (0.27 * (1000 / 0.27) ** rng.random())
+            other = 1.0 + (base - 1.0) * (1.0 - rng.random())
+            params = MarketParams(*((base, other) if k % 2 else (other, base)), MAX_SQUARE_HORIZON)
+            last = last_positive_power(base) + 1
+            with pytest.raises(PreconditionViolated, match=rf"is n = {last}$"):
+                payoff_matrix_K(params)
+
     def test_entries_are_trade_once_to_optimum_ratios(self):
         for params in params_grid():
             K = payoff_matrix_K(params)
@@ -430,9 +503,9 @@ def test_downturns_hold_their_rates_once():
     finally:
         tracemalloc.stop()
     assert all(np.array_equal(row, expected) for row, expected in zip(rows, downturn_rows(params)))
-    # Measured 19.2 MiB: the rows' Python floats plus the arrays made so far.
-    # Holding a second list of every row as well peaked at 26.9 MiB.
-    assert peak < 21 * 2**20
+    # Measured 7.79 MiB: the arrays, K's size, plus one row of Python floats.
+    # Building every row's floats before the first array peaked at 19.2 MiB.
+    assert peak < 9 * 2**20
 
 
 class TestDeterminant:
