@@ -10,7 +10,12 @@ class SingularMatrixError(BuyholdError):
 
 
 class NumericalFailure(BuyholdError):
-    """An iterative routine stalled or exceeded its iteration cap."""
+    """A computation could not give a float answer.
+
+    The simplex stalled or exceeded its pivot cap, the LP answer failed
+    its residual or duality-gap check, or a result (a ratio, a weighted
+    sum) is past the float range.
+    """
 
 
 class PreconditionViolated(BuyholdError):

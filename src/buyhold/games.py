@@ -282,7 +282,9 @@ def check_extreme_point(H, x, y, rows, cols) -> bool:
     ``FEASIBILITY_TOL``, and x and y vanish off the selected support.  A
     non-square selection is simply not a certificate and yields False.
     Raises DimensionMismatch if an index is not an integer (to
-    ``operator.index``) or is out of range.
+    ``operator.index``) or is out of range.  An entry of x or y that is
+    past the float range once scaled, or whose products are, yields False:
+    H' is nonsingular, so no solution comes near that range.
 
     Feasibility of x and y for the primal/dual pair is the caller's
     responsibility; only the certificate conditions are checked here.
@@ -291,8 +293,8 @@ def check_extreme_point(H, x, y, rows, cols) -> bool:
     """
     H, k = _unit_scaled(as_payoff_matrix(H))
     m, n = H.shape
-    x = np.ldexp(np.asarray(x, dtype=float).ravel(), k)
-    y = np.ldexp(np.asarray(y, dtype=float).ravel(), k)
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
     if x.shape[0] != m or y.shape[0] != n:
         raise DimensionMismatch("x/y lengths must match the matrix dimensions")
     try:
@@ -309,15 +311,16 @@ def check_extreme_point(H, x, y, rows, cols) -> bool:
         _inverse_sums(sub)
     except SingularMatrixError:
         return False
-    off_rows = np.setdiff1d(np.arange(m), rows)
-    off_cols = np.setdiff1d(np.arange(n), cols)
-    off_support = np.concatenate((x[off_rows], y[off_cols]))
-    # Each test asks "all within", so a NaN anywhere fails the certificate.
-    return bool(
-        np.all(np.abs(off_support) <= FEASIBILITY_TOL)
-        and np.all(np.abs(x[rows] @ sub - 1.0) <= FEASIBILITY_TOL)
-        and np.all(np.abs(sub @ y[cols] - 1.0) <= FEASIBILITY_TOL)
-    )
+    # Each test asks "all within", so a NaN or an inf anywhere fails the certificate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.ldexp(x, k)
+        y = np.ldexp(y, k)
+        return bool(
+            np.all(np.abs(np.delete(x, rows)) <= FEASIBILITY_TOL)
+            and np.all(np.abs(np.delete(y, cols)) <= FEASIBILITY_TOL)
+            and np.all(np.abs(x[rows] @ sub - 1.0) <= FEASIBILITY_TOL)
+            and np.all(np.abs(sub @ y[cols] - 1.0) <= FEASIBILITY_TOL)
+        )
 
 
 def _inverse_sums(matrix) -> tuple[np.ndarray, np.ndarray]:

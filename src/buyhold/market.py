@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import LengthMismatch, PreconditionViolated
+from .errors import LengthMismatch, NumericalFailure, PreconditionViolated
 # The scalar names live in params, which imports no numpy; they are
 # re-exported here with the array-valued ones built on them.
 from .params import (
@@ -66,13 +66,18 @@ def offline_optimum(rates) -> float:
 def evaluate_static(weights, rates) -> float:
     """Accumulation of a static strategy: the weighted sum of rates.
 
-    Raises ValueError if a weight or a rate is not finite.
+    Raises ValueError if a weight or a rate is not finite, and
+    NumericalFailure if a product or a partial sum is past the float range.
     """
     a = _finite_vector(weights, "weights")
     e = _finite_vector(rates, "rates")
     if a.shape[0] != e.shape[0]:
         raise LengthMismatch(f"{a.shape[0]} weights vs {e.shape[0]} rates")
-    return float(a @ e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(a @ e)
+    if not math.isfinite(total):
+        raise NumericalFailure("the weighted sum of rates is past the float range")
+    return total
 
 
 def downturns(params: MarketParams) -> list[np.ndarray]:
@@ -190,7 +195,9 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
     affecting the larger ones.
 
     Raises ValueError if a weight is not finite or is negative, or if
-    the strategy accumulates nothing on some downturn.
+    the strategy accumulates nothing on some downturn, and
+    NumericalFailure if the worst accumulation or its reciprocal, the
+    ratio, is past the float range.
     """
     check_type(params, MarketParams, "static_ratio_via_downturns")
     a = np.asarray(weights, dtype=float).ravel()
@@ -199,17 +206,22 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
     a = _finite_vector(a, "weights")
     if a.min() < 0.0:
         raise ValueError(f"weights must be nonnegative, got {a.min():g}")
-    worst = float(_times_kernel(a, float(params.alpha), float(params.beta)).min())
+    worst = min(_times_kernel(a, float(params.alpha), float(params.beta)))
     if worst <= 0.0:
         raise ValueError("strategy accumulates nothing on a downturn")
-    return 1.0 / worst
+    # Python floats overflow to inf without a warning or an error.
+    ratio = 1.0 / worst
+    if worst == math.inf or ratio == math.inf:
+        raise NumericalFailure(
+            f"the worst accumulation {worst:.3g} or its reciprocal, the ratio, is past the float range"
+        )
+    return ratio
 
 
-def _times_kernel(a: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _times_kernel(a: np.ndarray, alpha: float, beta: float) -> list[float]:
     """``a @ K`` for the downturn kernel, from its two geometric recurrences."""
     values = a.tolist()
-    left = list(accumulate(values, lambda s, x: s / alpha + x))
+    left = accumulate(values, lambda s, x: s / alpha + x)
     # ahead[j] = a_j + ahead[j+1]/beta, so R_j = ahead[j+1]/beta and R_{n-1} = 0.
     ahead = list(accumulate(reversed(values), lambda s, x: s / beta + x))[::-1]
-    right = np.append(np.divide(ahead[1:], beta), 0.0)
-    return np.add(left, right)
+    return [l + r / beta for l, r in zip(left, ahead[1:] + [0.0])]

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from buyhold import (
     NonPositiveEntry,
     NumericalFailure,
     PreconditionViolated,
+    SingularMatrixError,
     check_extreme_point,
     solve_game,
     solve_game_closed_form,
@@ -16,7 +18,16 @@ from buyhold import (
     worst_case_columns,
 )
 from buyhold import games
-from buyhold.games import OPTIMALITY_TOL, as_payoff_matrix
+from buyhold.games import (
+    FEASIBILITY_TOL,
+    OPTIMALITY_TOL,
+    PIVOT_TOL,
+    TIE_TOL,
+    _pivot_until_optimal,
+    as_payoff_matrix,
+)
+from buyhold.games import _inverse_sums as inverse_sums
+from buyhold.games import _solve_packing as solve_packing
 from buyhold.market import MarketParams, payoff_matrix_K
 
 SYM2 = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -97,6 +108,44 @@ def test_closed_form_rejects_nonsquare_and_negative_candidates():
     assert route == "lp"
     assert sol.ratio == pytest.approx(1.0, abs=1e-10)
     assert sol.online_strategy == pytest.approx([1.0, 0.0], abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "x, y, online, adversary",
+    [
+        # A component of -PIVOT_TOL is rounding noise, clipped to 0.
+        pytest.param([1.0, -PIVOT_TOL], [1.0, 1.0], [1.0, 0.0], [0.5, 0.5], id="x-noise"),
+        pytest.param([1.0, 1.0], [1.0, -PIVOT_TOL], [0.5, 0.5], [1.0, 0.0], id="y-noise"),
+        # Only a negative component is clipped, so a -0.0 stays as it prints.
+        pytest.param([1.0, -0.0], [-0.0, 1.0], [1.0, -0.0], [-0.0, 1.0], id="negative-zero"),
+    ],
+)
+def test_closed_form_clips_only_negative_candidate_components(monkeypatch, x, y, online, adversary):
+    monkeypatch.setattr(games, "_inverse_sums", lambda H: (np.array(x), np.array(y)))
+    sol = solve_game_closed_form(SYM2)
+    assert sol.online_strategy.tobytes() == np.array(online).tobytes()
+    assert sol.adversary_strategy.tobytes() == np.array(adversary).tobytes()
+    assert not sol.unique
+
+
+@pytest.mark.parametrize(
+    "x, y, unique",
+    [
+        ([1.0, PIVOT_TOL], [1.0, 1.0], False),
+        ([1.0, 1.0], [1.0, PIVOT_TOL], False),
+        ([1.0, 2.0 * PIVOT_TOL], [2.0 * PIVOT_TOL, 1.0], True),
+    ],
+    ids=["x-at-tol", "y-at-tol", "above-tol"],
+)
+def test_closed_form_unique_needs_every_component_above_pivot_tol(monkeypatch, x, y, unique):
+    monkeypatch.setattr(games, "_inverse_sums", lambda H: (np.array(x), np.array(y)))
+    assert solve_game_closed_form(SYM2).unique is unique
+
+
+def test_closed_form_candidate_summing_to_zero_is_refused(monkeypatch):
+    monkeypatch.setattr(games, "_inverse_sums", lambda H: (np.zeros(2), np.ones(2)))
+    with pytest.raises(PreconditionViolated, match="sums to zero"):
+        solve_game_closed_form(SYM2)
 
 
 NOT_A_MATRIX = DimensionMismatch, "expected a nonempty 2-D matrix"
@@ -188,6 +237,8 @@ def test_worst_case_columns():
         pytest.param([[1.0, 1.0 + 1e-11]], [1e12], {0, 1}, id="large-strategy"),
         # The unscaled x @ H overflows to inf, with a RuntimeWarning.
         pytest.param([[1.0, 2.0], [2.0, 2.0]], [1e308, 1e308], {0}, id="overflow"),
+        # x scales to 0.5, so column 1 pays 0.25 + TIE_TOL, rounded, which is the bound itself.
+        pytest.param([[0.5, 2.0 * (0.25 + TIE_TOL)]], [1.0], {0, 1}, id="tie-at-the-tolerance"),
     ],
 )
 def test_worst_case_columns_ties_on_the_unit_scaled_game(H, x, expected):
@@ -253,6 +304,34 @@ def test_check_extreme_point_scale_free(lam):
     one = np.array([1.0, 0.0]) / lam
     assert check_extreme_point(lam * SYM2, one, one, [0], [0])
     assert not check_extreme_point(lam * SYM2, one + [0.0, 1e-3 / lam], one, [0], [0])
+
+
+@pytest.mark.parametrize(
+    "H, x",
+    [
+        # The game is scaled by 1/4 and x by 4, so 1e308 becomes inf.
+        pytest.param([[1.0, 2.0], [2.0, 1.0]], [1e308, 1.0], id="scaled-entry"),
+        # The game is already unit-scaled, and x' H' overflows.
+        pytest.param([[0.9, 0.95], [0.95, 0.9]], [1e308, 1e308], id="product"),
+        # The scaled entries are inf and -inf, so x' H' is NaN.
+        pytest.param([[1.0, 2.0], [2.0, 1.0]], [1e308, -1e308], id="inf-minus-inf"),
+    ],
+)
+def test_check_extreme_point_entry_past_float_range_is_no_certificate(H, x):
+    # H' is nonsingular, so every solution of x' H' = 1 is far inside the float range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not check_extreme_point(H, x, x, [0, 1], [0, 1])
+
+
+def test_check_extreme_point_off_support_at_the_tolerance():
+    # The largest entry is 0.75, so the game and x, y are read unscaled.
+    H = [[0.5, 0.75], [0.75, 0.5]]
+    assert check_extreme_point(H, [2.0, FEASIBILITY_TOL], [2.0, 0.0], [0], [0])
+    assert check_extreme_point(H, [2.0, 0.0], [2.0, FEASIBILITY_TOL], [0], [0])
+    above = np.nextafter(FEASIBILITY_TOL, 1.0)
+    assert not check_extreme_point(H, [2.0, above], [2.0, 0.0], [0], [0])
+    assert not check_extreme_point(H, [2.0, 0.0], [2.0, above], [0], [0])
 
 
 def test_check_extreme_point_singular_submatrix():
@@ -340,6 +419,15 @@ def test_duality_gap_is_relative_to_the_ratio(monkeypatch, H, primal, accepted):
             solve_primal_dual(H)
 
 
+def test_duality_gap_at_the_tolerance_is_accepted(monkeypatch):
+    # OPTIMALITY_TOL * primal is a multiple of primal's ulp here, so the gap can equal it.
+    primal, dual = float.fromhex("0x1.333333bf89d00p+0"), float.fromhex("0x1.3333338bffac3p+0")
+    assert primal - dual == OPTIMALITY_TOL * primal
+    monkeypatch.setattr(games, "_solve_packing", lambda H: (np.array([primal]), np.array([dual]), dual))
+    # [[1/primal]] is unit-scaled already, and x = primal meets x H >= 1.
+    assert solve_primal_dual([[1.0 / primal]]).primal_objective == primal
+
+
 def test_scale_covariance():
     rng = np.random.default_rng(42)
     H = rng.uniform(0.5, 3.0, size=(5, 7))
@@ -394,3 +482,219 @@ def test_closed_form_agrees_with_lp_when_applicable():
         assert cf.adversary_strategy == pytest.approx(lp.adversary_strategy, abs=1e-8)
         matched += 1
     assert matched >= 10
+
+
+# The LU kernel of the closed form: the column and row sums of an inverse.
+
+
+def test_identity_roundtrip():
+    x, y = inverse_sums(np.eye(3))
+    assert np.array_equal(x, np.ones(3)) and np.array_equal(y, np.ones(3))
+
+
+def test_two_by_two_hand_inverse():
+    # adjugate of [[.5, 1.5], [1, 2]] over its determinant -0.5 is
+    # [[-4, 3], [2, -1]]: column sums (-2, 2), row sums (-1, 1).  The
+    # larger first-column entry sits in row 2, so the rows are swapped.
+    x, y = inverse_sums([[0.5, 1.5], [1.0, 2.0]])
+    assert np.abs(x - [-2.0, 2.0]).max() <= 1e-12
+    assert np.abs(y - [-1.0, 1.0]).max() <= 1e-12
+
+
+def test_downturn_kernel_residual():
+    K = payoff_matrix_K(MarketParams(2.0, 2.0, 3))
+    x, y = inverse_sums(K)
+    assert np.abs(x @ K - 1.0).max() <= 1e-9 * 3
+    assert np.abs(K @ y - 1.0).max() <= 1e-9 * 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 33, 64])
+def test_residual_well_conditioned_random(n):
+    rng = np.random.default_rng(n)
+    m = rng.uniform(-1.0, 1.0, size=(n, n)) + n * np.eye(n)
+    x, y = inverse_sums(m)
+    assert np.abs(x @ m - 1.0).max() <= 1e-9 * n
+    assert np.abs(m @ y - 1.0).max() <= 1e-9 * n
+
+
+def test_singular_raises():
+    with pytest.raises(SingularMatrixError):
+        inverse_sums([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        inverse_sums([[0.0]])
+    # Nonsingular in exact arithmetic, but the second pivot (1e-13) is
+    # below PIVOT_TOL.
+    with pytest.raises(SingularMatrixError):
+        inverse_sums([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+
+
+def test_pivot_at_the_threshold_is_kept():
+    # Only a pivot below PIVOT_TOL is singular.
+    x, y = inverse_sums([[PIVOT_TOL]])
+    assert x.tolist() == y.tolist() == [1.0 / PIVOT_TOL]
+
+
+# The single-tableau simplex of the LP route.
+
+
+def test_maximization_via_negation():
+    # max y1 + y2 s.t. y1 + y2/2 <= 1, y1/2 + y2 <= 1.
+    x, y, obj = solve_packing([[1.0, 0.5], [0.5, 1.0]])
+    assert obj == pytest.approx(4.0 / 3.0, abs=1e-10)
+    assert y == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-10)
+    assert x == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-10)
+
+
+TIE_GAMES_ONLINE = [
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0]),
+    ([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]], [0.5, 0.0, 0.5]),
+    ([[1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0]], [0.5, 0.5]),
+]
+
+
+def test_degenerate_instance_terminates():
+    # Duplicate rows or columns tie the ratio test; Bland's tie-break
+    # must still reach the optimum with zero duality gap.
+    for H, online in TIE_GAMES_ONLINE:
+        x, y, obj = solve_packing(H)
+        H = np.array(H)
+        assert x / x.sum() == pytest.approx(online, abs=1e-12)
+        assert x.sum() == pytest.approx(obj, abs=1e-12)
+        assert (x @ H).min() == pytest.approx(1.0, abs=1e-12)
+        assert (H @ y).max() == pytest.approx(1.0, abs=1e-12)
+
+
+# float.hex of (x, y, objective) as the textbook pivot, a fresh
+# ``T - np.outer(factors, pivot_row)`` per step, computes them.  The
+# tableau update is elementwise IEEE arithmetic with no BLAS call, so
+# these bits hold on every platform.
+PINNED_BITS = {
+    "tie0": (
+        "0x1.0000000000000p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x0.0p+0",
+        "0x1.0000000000000p+0",
+    ),
+    "tie1": (
+        "0x1.5555555555555p-2 0x0.0p+0 0x1.5555555555556p-2",
+        "0x1.5555555555556p-2 0x1.5555555555555p-2",
+        "0x1.5555555555555p-1",
+    ),
+    "tie2": (
+        "0x1.5555555555555p-2 0x1.5555555555556p-2",
+        (
+            "0x1.5555555555556p-2 0x1.5555555555555p-2 0x0.0p+0 "
+            "0x0.0p+0"
+        ),
+        "0x1.5555555555555p-1",
+    ),
+    "seeded_12x20": (
+        (
+            "0x0.0p+0 0x1.6f504100e4723p-3 0x1.2e119a5a8dddfp-2 "
+            "0x0.0p+0 0x1.18391ea7264dap-3 0x1.4ab00983e9291p-2 "
+            "0x0.0p+0 0x0.0p+0 0x1.87e0e6922aa44p-4 "
+            "0x0.0p+0 0x1.cfbb16197ffc5p-5 0x1.12f8a229e1f86p-2"
+        ),
+        (
+            "0x1.d3b6f52e0f1a4p-3 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.a07405a251d16p-5 0x0.0p+0 "
+            "0x1.23b08a906a0e0p-5 0x0.0p+0 0x1.1c83b51900a3cp-2 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.139509cb183e6p-2 "
+            "0x0.0p+0 0x0.0p+0 0x1.dc6f57f1b0d65p-5 "
+            "0x0.0p+0 0x1.bd67dbc46b027p-2"
+        ),
+        "0x1.5adba49106421p+0",
+    ),
+    "seeded_30x30": (
+        (
+            "0x1.0962eac051732p-3 0x0.0p+0 0x1.4b1f3792cb4efp-5 "
+            "0x1.bcaba9c99e0dap-5 0x1.0a99141324e0dp-3 0x0.0p+0 "
+            "0x1.8085c3747953fp-7 0x0.0p+0 0x1.f89e96687f35cp-5 "
+            "0x1.4dd0061821e21p-3 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.4e3ece03a250ep-4 0x0.0p+0 "
+            "0x0.0p+0 0x1.00790eb96eaaap-6 0x0.0p+0 "
+            "0x1.30fee23d2796cp-2 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.1686e2bfa49ffp-4 0x0.0p+0 "
+            "0x1.9f9151227b995p-4 0x0.0p+0 0x0.0p+0 "
+            "0x1.3340b20466e20p-4 0x1.2dc82032122dep-4 0x0.0p+0"
+        ),
+        (
+            "0x1.a08c893f1ec40p-6 0x1.63da3d1cee10ap-3 0x0.0p+0 "
+            "0x1.b7838542c7b46p-4 0x1.4490f93036660p-10 0x1.956dd3f35e330p-3 "
+            "0x0.0p+0 0x1.bcbe04b1e4691p-5 0x1.afcf8891e4595p-6 "
+            "0x1.76c1f9bbddbc8p-3 0x1.0f2a49c9f2dc2p-2 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.8a9e263b6dee3p-3 "
+            "0x0.0p+0 0x1.81fdbe6cde68ep-6 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.316a84d8f72bap-7 "
+            "0x1.360e95dfc2c60p-9 0x0.0p+0 0x1.57e921acbc381p-5"
+        ),
+        "0x1.4dd571ee76988p+0",
+    ),
+    "basis_tie_4x3": (
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-1",
+        "0x0.0p+0 0x1.0000000000000p-1 0x0.0p+0",
+        "0x1.0000000000000p-1",
+    ),
+    "near_tie_5x4": (
+        (
+            "0x0.0p+0 0x1.af286bca1a9b5p-4 0x1.af286bca17d3fp-5 "
+            "0x1.435e50d7951cbp-3 0x1.435e50d7942fbp-3"
+        ),
+        (
+            "0x1.af286bca1d61dp-5 0x1.af286bca19ae4p-4 0x1.af286bca1d622p-4 "
+            "0x1.af286bca19ae4p-3"
+        ),
+        "0x1.e50d79435e478p-2",
+    ),
+    "tol_tie_3x3": (
+        "0x1.00000005276a0p+0 0x0.0p+0 0x0.0p+0",
+        "0x1.00000005276a0p+0 0x0.0p+0 0x0.0p+0",
+        "0x1.00000005276a0p+0",
+    ),
+}
+
+PINNED_GAMES = {
+    **{f"tie{k}": np.array(H) for k, (H, _) in enumerate(TIE_GAMES_ONLINE)},
+    "seeded_12x20": np.random.default_rng(12).uniform(0.5, 1.0, size=(12, 20)),
+    "seeded_30x30": np.random.default_rng(30).uniform(0.5, 1.0, size=(30, 30)),
+    # A ratio-test tie whose lowest basic index is not its lowest row.
+    "basis_tie_4x3": np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [3.0, 2.0, 2.0]]),
+    # Ratios that tie only within FEASIBILITY_TOL.
+    "near_tie_5x4": np.array(
+        [
+            [1.0, 1.0, 1.999999999999, 1.0],
+            [2.999999999999, 2.999999999999, 1.000000000001, 2.000000000001],
+            [0.999999999999, 1.000000000001, 2.000000000001, 3.0],
+            [3.000000000001, 1.999999999999, 2.0, 2.0],
+            [0.999999999999, 2.000000000001, 2.999999999999, 2.0],
+        ]
+    ),
+    # Row 0's first ratio, 1 + 1.2e-9, is within FEASIBILITY_TOL * (1 + 1) of
+    # row 1's, so the two tie and row 0, the lower basic index, leaves.
+    "tol_tie_3x3": np.array([[1.0 / (1.0 + 1.2e-9), 2.0, 1.0], [1.0, 1.0, 2.0], [0.5, 1.5, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BITS))
+def test_solutions_are_pinned_bit_for_bit(name):
+    x, y, objective = solve_packing(PINNED_GAMES[name])
+    got = (" ".join(map(float.hex, x.tolist())), " ".join(map(float.hex, y.tolist())), objective.hex())
+    assert got == PINNED_BITS[name]
+
+
+def test_entering_column_without_a_blocking_row_raises():
+    # max y0 s.t. -y0 + s = 1: y0 enters with no positive entry, so it is unbounded.
+    T = np.array([[-1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
+    with pytest.raises(NumericalFailure, match="entering column 0 has no blocking row"):
+        _pivot_until_optimal(T, np.array([1]), 10)
+
+
+def test_pivot_cap_raises():
+    # max y0 s.t. y0 + s = 1 takes one pivot, and one more pass finds no entering column.
+    T = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
+    with pytest.raises(NumericalFailure, match="did not terminate within 0 pivots"):
+        _pivot_until_optimal(T.copy(), np.array([1]), 0)
+    _pivot_until_optimal(T, np.array([1]), 2)
+    assert T[-1, -1] == 1.0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from buyhold import (
     LengthMismatch,
     MarketParams,
+    NumericalFailure,
     PreconditionViolated,
     bal_adversary,
     bal_ratio,
@@ -274,6 +275,20 @@ class TestSequences:
             evaluate_static([bad, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="rates must be finite"):
             evaluate_static([0.5, 0.5], [1.0, bad])
+
+    @pytest.mark.parametrize(
+        "weights, rates",
+        [
+            pytest.param([1e308, 1e308], [1.0, 1.0], id="sum-overflows"),
+            # Each product overflows, and inf - inf is NaN.
+            pytest.param([1e308, -1e308], [10.0, 10.0], id="products-overflow"),
+        ],
+    )
+    def test_evaluate_static_past_float_range_raises(self, weights, rates):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="past the float range"):
+                evaluate_static(weights, rates)
 
 
 class TestDownturns:
@@ -687,6 +702,30 @@ class TestStaticRatio:
     def test_nothing_accumulated_raises(self):
         with pytest.raises(ValueError):
             static_ratio_via_downturns([0.0, 0.0, 0.0], MarketParams(2.0, 2.0, 3))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            # The worst accumulation is 1.5e-310, and its reciprocal, the true
+            # ratio of about 6.7e309, overflows.
+            pytest.param([1e-310, 1e-310], id="reciprocal-overflows"),
+            # The worst accumulation is 1.5 times the largest float; the true
+            # ratio is about 3.7e-309.
+            pytest.param([1.7976931348623157e308] * 2, id="accumulation-overflows"),
+        ],
+    )
+    def test_ratio_past_float_range_raises(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="past the float range"):
+                static_ratio_via_downturns(weights, MarketParams(2.0, 2.0, 2))
+
+    def test_finite_ratio_near_the_ends_of_the_float_range(self):
+        assert static_ratio_via_downturns([1e-308, 1e-308], MarketParams(2.0, 2.0, 2)) == 1.0 / 1.5e-308
+        # Downturn 1 accumulates 1e308/1.01 + 1.5e308, past the float range, but
+        # the worst case is downturn 0's 1e308 + 1.5e308/1e10.
+        got = static_ratio_via_downturns([1e308, 1.5e308], MarketParams(1.01, 1e10, 2))
+        assert got == 1.0 / (1e308 + 1.5e308 / 1e10)
 
     def test_downturn_past_float_range(self):
         # The downturns themselves overflow here; K's columns do not.

@@ -1,12 +1,14 @@
 """The package namespace (lazy names, ``dir`` and star imports) and its wrong-type contract."""
 
 import ast
+import math
 import os
 import pkgutil
 import re
 import subprocess
 import sys
 import tomllib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -128,33 +130,48 @@ def test_every_exported_name_is_defined_in_its_module():
     assert homeless == []
 
 
-def test_first_backtest_pass_imports_nothing():
-    # Every backtest process pays for a module imported on first use:
-    # np.unique imports numpy.ma, about 15 ms on numpy 2.4.
+def _modules_imported_by(module: str, code: str) -> list[str]:
+    """The modules that ``code`` imports in a fresh process that has imported ``buyhold`` and ``buyhold.module``."""
     script = (
         "import sys\n"
         "import buyhold as b\n"
-        "from buyhold import backtest\n"
+        f"from buyhold import {module}\n"
         "before = set(sys.modules)\n"
-        "series = b.parse_prices('date,close\\n2000-01-03,2\\n2000-01-04,1\\n2000-02-01,1\\n2000-02-02,1\\n')\n"
-        "report = b.compare_report(series, 1.5, 1.5)\n"
-        "assert report.windows[0].results[0][1].violations\n"
-        "b.report_json(report), b.report_csv(report), b.report_svg(report)\n"
+        f"{code}\n"
         "print(sorted(set(sys.modules) - before))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(buyhold.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return ast.literal_eval(done.stdout.strip())
 
 
-#: The names that take vectors, each called with ``v`` as its first vector.
+def test_first_backtest_pass_imports_nothing():
+    # Every backtest process pays for a module imported on first use:
+    # np.unique imports numpy.ma, about 15 ms on numpy 2.4.
+    code = (
+        "series = b.parse_prices('date,close\\n2000-01-03,2\\n2000-01-04,1\\n2000-02-01,1\\n2000-02-02,1\\n')\n"
+        "report = b.compare_report(series, 1.5, 1.5)\n"
+        "assert report.windows[0].results[0][1].violations\n"
+        "b.report_json(report), b.report_csv(report), b.report_svg(report)"
+    )
+    assert _modules_imported_by("backtest", code) == []
+
+
+def test_first_certificate_check_imports_nothing():
+    # np.setdiff1d reaches np.unique too.
+    code = "assert b.check_extreme_point([[1.0, 2.0], [2.0, 1.0]], [1.0, 0.0], [1.0, 0.0], [0], [0])"
+    assert _modules_imported_by("games", code) == []
+
+
+#: The names that take vectors, each called with ``v`` as one vector argument.
 _VECTOR_CALLS = {
     "offline_optimum": lambda v: buyhold.offline_optimum(v),
-    "evaluate_static": lambda v: buyhold.evaluate_static(v, [1.0]),
+    "evaluate_static": lambda v: buyhold.evaluate_static(v, [1.0, 1.0]),
+    "evaluate_static rates": lambda v: buyhold.evaluate_static([1.0, 1.0], v),
     "static_ratio_via_downturns": lambda v: buyhold.static_ratio_via_downturns(v, buyhold.MarketParams(2.0, 2.0, 2)),
-    "worst_case_columns": lambda v: buyhold.worst_case_columns([[1.0]], v),
-    "check_extreme_point": lambda v: buyhold.check_extreme_point([[1.0]], v, [1.0], [0], [0]),
+    "worst_case_columns": lambda v: buyhold.worst_case_columns([[1.0, 2.0], [2.0, 1.0]], v),
+    "check_extreme_point": lambda v: buyhold.check_extreme_point([[1.0, 2.0], [2.0, 1.0]], v, v, [0, 1], [0, 1]),
 }
 
 
@@ -173,6 +190,38 @@ def test_vector_of_the_wrong_type_raises_numpys_error(name, vector, error, messa
     # The documented contract: numpy's own conversion error, unwrapped.
     with pytest.raises(error, match=message):
         _VECTOR_CALLS[name](vector)
+
+
+#: The finite extremes: the smallest subnormal, a subnormal, the smallest normal, and two near the top.
+_EXTREMES = (5e-324, 1e-310, sys.float_info.min, 1e308, sys.float_info.max)
+
+
+def _untyped_outcome(call, v):
+    """What ``call(v)`` did, unless it returned a finite float, a bool or a set, or raised a typed error."""
+    try:
+        got = call(v)
+    except (buyhold.BuyholdError, ValueError):
+        return None
+    except Exception as error:  # noqa: BLE001 - an untyped error is the finding
+        return repr(error)
+    if isinstance(got, (bool, set)) or (type(got) is float and math.isfinite(got)):
+        return None
+    return repr(got)
+
+
+@pytest.mark.parametrize("name", sorted(_VECTOR_CALLS))
+def test_vector_at_the_ends_of_the_float_range(name):
+    # Each extreme in each position of a 2-vector, and in both.  With warnings
+    # as errors, a numpy overflow warning is an untyped error.
+    found = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in _EXTREMES:
+            for v in ([e, 1.0], [1.0, e], [e, e]):
+                outcome = _untyped_outcome(_VECTOR_CALLS[name], v)
+                if outcome is not None:
+                    found.append(f"{v}: {outcome}")
+    assert found == []
 
 
 @pytest.mark.parametrize(
