@@ -13,7 +13,9 @@ satisfy ``x.1 = y.1 = r*``, and ``x/r*``, ``y/r*`` are the optimal
 mixed strategies.  Two solution routes are provided: a general LP
 route, and a closed-form route through the inverse of a square
 nonsingular ``H`` that additionally certifies uniqueness when both
-scaled solutions are strictly positive.
+scaled solutions are strictly positive.  The closed-form route first
+recognises the paper's downturn kernel ``K`` exactly and answers it
+from the balanced strategy's closed forms, with no inverse.
 """
 
 import math
@@ -149,15 +151,7 @@ def solve_primal_dual(H) -> LpSolution:
     largest entry into [0.5, 1), and the solutions are scaled back
     exactly, so no tolerance depends on the magnitude of ``H``.
     """
-    H, k = _unit_scaled(as_payoff_matrix(H))
-    x, y, dual = _solve_packing(H)
-    residual = max(float(np.max(1.0 - x @ H)), float(np.max(H @ y - 1.0)))
-    if residual > OPTIMALITY_TOL:
-        raise NumericalFailure(f"LP solution violates its constraints by {residual:.3e}")
-    primal = float(x.sum())
-    gap = abs(primal - float(y.sum()))
-    if gap > OPTIMALITY_TOL * primal:
-        raise NumericalFailure(f"LP solution has a duality gap of {gap:.3e} on {primal:.6g}")
+    x, y, primal, dual, k = _checked_packing(H)
     # Both objectives bound the components, so once they fit every x_i and y_i does.
     primal_objective = _ratio_scaled_back(primal, k)
     dual_objective = _ratio_scaled_back(dual, k)
@@ -169,28 +163,59 @@ def solve_primal_dual(H) -> LpSolution:
     )
 
 
+def _checked_packing(H) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+    """``(x, y, sum(x), dual, k)``: the checked LP pair of ``H * 2**-k``, unit-scaled.
+
+    Validates ``H``, solves the unit-scaled game by ``_solve_packing``
+    and raises as solve_primal_dual documents.
+    """
+    H, k = _unit_scaled(as_payoff_matrix(H))
+    x, y, dual = _solve_packing(H)
+    residual = max(float(np.max(1.0 - x @ H)), float(np.max(H @ y - 1.0)))
+    if residual > OPTIMALITY_TOL:
+        raise NumericalFailure(f"LP solution violates its constraints by {residual:.3e}")
+    primal = float(x.sum())
+    gap = abs(primal - float(y.sum()))
+    if gap > OPTIMALITY_TOL * primal:
+        raise NumericalFailure(f"LP solution has a duality gap of {gap:.3e} on {primal:.6g}")
+    return x, y, primal, dual, k
+
+
+def _scaled_back_solution(x, y, ratio: float, k: int, unique: bool) -> GameSolution:
+    """The solution of ``H`` from the candidates ``x``, ``y`` of its unit scaling ``H * 2**-k``.
+
+    ``ratio`` is ``sum(x)``, positive.  The strategies do not change with
+    the scale, and the value is the reciprocal of the unit-scaled ratio
+    scaled back, so a ratio that is subnormal once scaled back does not
+    turn a finite value into inf.
+    """
+    return GameSolution(
+        value=math.ldexp(1.0 / ratio, k),
+        ratio=_ratio_scaled_back(ratio, k),
+        online_strategy=x / ratio,
+        adversary_strategy=y / float(y.sum()),
+        unique=unique,
+    )
+
+
 def solve_game_lp(H) -> GameSolution:
     """Solve the game by linear programming.
 
     Works for any positive payoff matrix, rectangular included.  This
     route never certifies uniqueness (``unique`` is always False).
     """
-    lp = solve_primal_dual(H)
-    ratio = float(lp.x.sum())
-    return GameSolution(
-        value=1.0 / ratio,
-        ratio=ratio,
-        online_strategy=lp.x / ratio,
-        adversary_strategy=lp.y / float(lp.y.sum()),
-        unique=False,
-    )
+    x, y, ratio, _, k = _checked_packing(H)
+    return _scaled_back_solution(x, y, ratio, k, unique=False)
 
 
 def solve_game_closed_form(H) -> GameSolution:
     """Solve a square nonsingular game through the matrix inverse.
 
-    With ``x`` the column sums and ``y`` the row sums of ``H^-1`` (taken
-    from one LU factorisation by ``_inverse_sums``), both
+    A matrix that is exactly ``payoff_matrix_K`` of some bounds (see
+    ``_downturn_kernel_solution``) is answered from the balanced
+    strategy's closed forms, with ``unique`` True.  For any other
+    matrix, with ``x`` the column sums and ``y`` the row sums of ``H^-1``
+    (taken from one LU factorisation by ``_inverse_sums``), both
     nonnegative, the ratio is ``sum(x)`` and the strategies are the
     normalized vectors.  Components in ``[-PIVOT_TOL, 0)`` are rounding
     noise and clipped to zero; anything more negative means this route
@@ -212,6 +237,9 @@ def solve_game_closed_form(H) -> GameSolution:
     m, n = H.shape
     if m != n:
         raise PreconditionViolated(f"closed form needs a square matrix, got {m}x{n}")
+    kernel = _downturn_kernel_solution(H)
+    if kernel is not None:
+        return kernel
     H, k = _unit_scaled(H)
     x, y = _inverse_sums(H)
     if x.min() < -PIVOT_TOL or y.min() < -PIVOT_TOL:
@@ -224,13 +252,66 @@ def solve_game_closed_form(H) -> GameSolution:
     ratio = float(x.sum())
     if ratio <= 0.0:
         raise PreconditionViolated("candidate solution sums to zero")
+    return _scaled_back_solution(x, y, ratio, k, unique)
+
+
+def _downturn_kernel_solution(H) -> GameSolution | None:
+    """The closed-form solution of ``H`` if it is exactly a downturn kernel, else None.
+
+    ``H`` is a square payoff matrix.  It is recognised as
+    ``payoff_matrix_K(MarketParams(alpha, beta, n))`` when it has a unit
+    corner ``H[0, 0]`` (checked first, so most games cost one scalar
+    test), its first row and column are, bit for bit, the powers of
+    bounds ``alpha`` and ``beta`` read back from ``H[0, 1]`` and
+    ``H[1, 0]``, and it is Toeplitz.  The answer is the paper's: the
+    balanced weights for the online player, the same weights with the
+    ends swapped for the adversary, and ``bal_ratio``.  It is returned
+    only if ``ratio * x H`` and ``ratio * H y`` are within
+    FEASIBILITY_TOL of 1, the equalities that make it optimal.
+    """
+    n = H.shape[0]
+    if n < 2 or H[0, 0] != 1.0:
+        return None
+    # Imported past the scalar test, so a process that solves only other games never loads it.
+    from .params import MarketParams, bal_ratio, bal_weight_parts
+
+    exponents = -np.arange(n)
+    alpha = _bound_read_back(H[0], exponents)
+    beta = _bound_read_back(H[:, 0], exponents)
+    if alpha is None or beta is None or not np.array_equal(H[1:, 1:], H[:-1, :-1]):
+        return None
+    params = MarketParams(alpha, beta, n)
+    first, interior, last = bal_weight_parts(params)
+    ratio = bal_ratio(params)
+    x = np.full(n, interior)
+    x[0], x[-1] = first, last
+    # The interior is constant, so reversing x swaps its ends.
+    y = x[::-1].copy()
+    residual = max(np.max(np.abs(ratio * (x @ H) - 1.0)), np.max(np.abs(ratio * (H @ y) - 1.0)))
+    if not residual <= FEASIBILITY_TOL:
+        return None
     return GameSolution(
-        value=math.ldexp(1.0 / ratio, k),
-        ratio=_ratio_scaled_back(ratio, k),
-        online_strategy=x / ratio,
-        adversary_strategy=y / float(y.sum()),
-        unique=unique,
+        value=1.0 / ratio, ratio=ratio, online_strategy=x, adversary_strategy=y, unique=True
     )
+
+
+def _bound_read_back(powers, exponents) -> float | None:
+    """The bound ``b > 1`` with ``b ** exponents`` equal to ``powers`` bit for bit, or None.
+
+    ``powers`` is a first row or column of length ``n >= 2`` and
+    ``exponents`` is ``0, -1, ..., -(n-1)``.  The candidates are
+    ``1/powers[1]`` and its two neighbouring floats, since the
+    reciprocal of a rounded reciprocal may miss the bound by an ulp.
+    The powers are taken as ``payoff_matrix_K`` takes them, one
+    ``np.power`` of a float array by an integer array, so a kernel that
+    it built matches its own bounds exactly.  An infinite candidate
+    needs no test: its power ``-1`` is 0, which no payoff entry is.
+    """
+    guess = 1.0 / float(powers[1])
+    for bound in (guess, math.nextafter(guess, 0.0), math.nextafter(guess, math.inf)):
+        if bound > 1.0 and np.array_equal(np.full(len(powers), bound) ** exponents, powers):
+            return bound
+    return None
 
 
 def solve_game(H) -> tuple[GameSolution, str]:

@@ -1,4 +1,10 @@
+import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,9 +34,19 @@ from buyhold.games import (
 )
 from buyhold.games import _inverse_sums as inverse_sums
 from buyhold.games import _solve_packing as solve_packing
-from buyhold.market import MarketParams, payoff_matrix_K
+from buyhold.market import (
+    MarketParams,
+    bal_adversary,
+    bal_ratio,
+    bal_weights,
+    payoff_matrix_K,
+    preset_params,
+)
 
 SYM2 = np.array([[1.0, 0.5], [0.5, 1.0]])
+# A positive 2x2 that is not Toeplitz, so not a downturn kernel: the tests
+# that stub _inverse_sums need a game that reaches the LU.
+NOT_K2 = np.array([[1.0, 0.5], [0.5, 0.8]])
 K3 = payoff_matrix_K(MarketParams(2.0, 2.0, 3))
 
 
@@ -122,7 +138,7 @@ def test_closed_form_rejects_nonsquare_and_negative_candidates():
 )
 def test_closed_form_clips_only_negative_candidate_components(monkeypatch, x, y, online, adversary):
     monkeypatch.setattr(games, "_inverse_sums", lambda H: (np.array(x), np.array(y)))
-    sol = solve_game_closed_form(SYM2)
+    sol = solve_game_closed_form(NOT_K2)
     assert sol.online_strategy.tobytes() == np.array(online).tobytes()
     assert sol.adversary_strategy.tobytes() == np.array(adversary).tobytes()
     assert not sol.unique
@@ -139,13 +155,13 @@ def test_closed_form_clips_only_negative_candidate_components(monkeypatch, x, y,
 )
 def test_closed_form_unique_needs_every_component_above_pivot_tol(monkeypatch, x, y, unique):
     monkeypatch.setattr(games, "_inverse_sums", lambda H: (np.array(x), np.array(y)))
-    assert solve_game_closed_form(SYM2).unique is unique
+    assert solve_game_closed_form(NOT_K2).unique is unique
 
 
 def test_closed_form_candidate_summing_to_zero_is_refused(monkeypatch):
     monkeypatch.setattr(games, "_inverse_sums", lambda H: (np.zeros(2), np.ones(2)))
     with pytest.raises(PreconditionViolated, match="sums to zero"):
-        solve_game_closed_form(SYM2)
+        solve_game_closed_form(NOT_K2)
 
 
 NOT_A_MATRIX = DimensionMismatch, "expected a nonempty 2-D matrix"
@@ -211,6 +227,193 @@ def test_solve_game_prefers_closed_form():
     sol, route = solve_game(K3)
     assert route == "closed-form"
     assert sol.unique
+
+
+# The closed-form route recognises a downturn kernel exactly and answers it
+# from the balanced strategy's closed forms, before the LU.
+
+
+def _lu_must_not_run(H):
+    raise AssertionError("the LU ran on a downturn kernel")
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, n",
+    [
+        (2.0, 2.0, 2),
+        (2.0, 2.0, 3),
+        (1 / 0.93, 1.07, 21),
+        (1 / 0.95, 1.3, 252),
+        # Bounds past any circuit breaker: the entries are down to 1e-300.
+        (1e300, 1e150, 2),
+        (1e150, 1e100, 3),
+    ],
+)
+def test_closed_form_answers_a_downturn_kernel_without_the_lu(monkeypatch, alpha, beta, n):
+    params = MarketParams(alpha, beta, n)
+    monkeypatch.setattr(games, "_inverse_sums", _lu_must_not_run)
+    sol, route = solve_game(payoff_matrix_K(params))
+    assert route == "closed-form" and sol.unique
+    assert sol.online_strategy.tobytes() == bal_weights(params).tobytes()
+    assert sol.adversary_strategy.tobytes() == bal_adversary(params).tobytes()
+    assert sol.ratio == bal_ratio(params)
+    assert sol.value == 1.0 / bal_ratio(params)
+    assert not sol.online_strategy.flags.writeable and not sol.adversary_strategy.flags.writeable
+
+
+def _nudged(H, i, j):
+    H = H.copy()
+    H[i, j] = np.nextafter(H[i, j], 1.0)
+    return H
+
+
+TAIPEI3 = payoff_matrix_K(preset_params("taipei", 3))
+# Games that look like a downturn kernel and are not one, each with the
+# float.hex of (value ratio, online strategy, adversary strategy) that the LU
+# gives.  At n = 3 these bits are the same under every OpenBLAS kernel.
+NEAR_KERNELS = {
+    # Toeplitz no more: H[1, 2] is off the diagonal of H[0, 1].
+    "interior": (
+        _nudged(TAIPEI3, 1, 2),
+        "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+        "0x1.de81323e34a2cp-2 0x1.0bf66e0e5af15p-5 0x1.ffffffffffff3p-2",
+        "0x1.ffffffffffff9p-2 0x1.0bf66e0e5aea6p-5 0x1.de81323e34a32p-2",
+    ),
+    # Still Toeplitz, but the first row is no power sequence.
+    "row-corner": (
+        _nudged(TAIPEI3, 0, 2),
+        "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+        "0x1.de81323e34a2cp-2 0x1.0bf66e0e5af49p-5 0x1.fffffffffffebp-2",
+        "0x1.fffffffffffebp-2 0x1.0bf66e0e5af53p-5 0x1.de81323e34a2cp-2",
+    ),
+    "column-corner": (
+        _nudged(TAIPEI3, 2, 0),
+        "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+        "0x1.de81323e34a25p-2 0x1.0bf66e0e5af1dp-5 0x1.ffffffffffffap-2",
+        "0x1.ffffffffffff3p-2 0x1.0bf66e0e5af1ap-5 0x1.de81323e34a2cp-2",
+    ),
+    # No unit corner.
+    "twice": (
+        2.0 * TAIPEI3,
+        "0x1.de81323e34a2cp+0 0x1.11eb851eb851ep-1",
+        "0x1.de81323e34a2cp-2 0x1.0bf66e0e5aee1p-5 0x1.ffffffffffffap-2",
+        "0x1.ffffffffffff3p-2 0x1.0bf66e0e5af1ap-5 0x1.de81323e34a2cp-2",
+    ),
+    # Symmetric Toeplitz with a unit diagonal, but 0.3 is not 0.5 ** 2.
+    "toeplitz": (
+        np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.5], [0.3, 0.5, 1.0]]),
+        "0x1.3b13b13b13b14p-1 0x1.a000000000000p+0",
+        "0x1.89d89d89d89d9p-2 0x1.d89d89d89d89ep-3 0x1.89d89d89d89d9p-2",
+        "0x1.89d89d89d89d9p-2 0x1.d89d89d89d89ep-3 0x1.89d89d89d89d9p-2",
+    ),
+}
+
+
+def _hex_solution(sol):
+    return (
+        f"{sol.value.hex()} {sol.ratio.hex()}",
+        " ".join(map(float.hex, sol.online_strategy.tolist())),
+        " ".join(map(float.hex, sol.adversary_strategy.tolist())),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_KERNELS))
+def test_a_near_kernel_goes_to_the_lu(name):
+    H, *bits = NEAR_KERNELS[name]
+    with mock.patch.object(games, "_inverse_sums", wraps=games._inverse_sums) as lu:
+        sol, route = solve_game(H)
+    lu.assert_called_once()
+    assert route == "closed-form" and sol.unique
+    assert _hex_solution(sol) == tuple(bits)
+
+
+@pytest.mark.parametrize("H", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 5e-324], [5e-324, 1.0]], [[1.0]]])
+def test_a_unit_corner_without_bounds_is_no_kernel(H):
+    # No bound above 1 and below inf reads back, so no MarketParams is built
+    # and the game is solved as any other, warnings as errors.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert games._downturn_kernel_solution(np.array(H)) is None
+        solve_game(H)
+
+
+def test_a_kernel_whose_closed_forms_miss_the_residual_goes_to_the_lu(monkeypatch):
+    # A ratio off by twice FEASIBILITY_TOL leaves ratio * x K about that far
+    # from 1, so the route refuses it and the LU answers, with the bits it
+    # gives the unrecognised kernel; half of FEASIBILITY_TOL is accepted.
+    monkeypatch.setattr("buyhold.params.bal_ratio", lambda p: bal_ratio(p) * (1.0 + 2.0 * FEASIBILITY_TOL))
+    with mock.patch.object(games, "_inverse_sums", wraps=games._inverse_sums) as lu:
+        sol, route = solve_game(TAIPEI3)
+    lu.assert_called_once()
+    assert route == "closed-form" and sol.unique
+    assert _hex_solution(sol) == (
+        "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+        "0x1.de81323e34a2cp-2 0x1.0bf66e0e5aee1p-5 0x1.ffffffffffffap-2",
+        "0x1.ffffffffffff3p-2 0x1.0bf66e0e5af1ap-5 0x1.de81323e34a2cp-2",
+    )
+    monkeypatch.setattr("buyhold.params.bal_ratio", lambda p: bal_ratio(p) * (1.0 + 0.5 * FEASIBILITY_TOL))
+    monkeypatch.setattr(games, "_inverse_sums", _lu_must_not_run)
+    assert solve_game(TAIPEI3)[0].ratio == bal_ratio(preset_params("taipei", 3)) * (1.0 + 0.5 * FEASIBILITY_TOL)
+
+
+def test_the_kernel_residual_test_is_inclusive_at_feasibility_tol(monkeypatch):
+    # With FEASIBILITY_TOL set to the route's own residual the closed forms
+    # are accepted, and one float below it they are refused.
+    params = preset_params("taipei", 21)
+    K = payoff_matrix_K(params)
+    ratio, x, y = bal_ratio(params), bal_weights(params), bal_adversary(params)
+    residual = max(np.max(np.abs(ratio * (x @ K) - 1.0)), np.max(np.abs(ratio * (K @ y) - 1.0)))
+    assert 0.0 < residual <= FEASIBILITY_TOL
+    monkeypatch.setattr(games, "FEASIBILITY_TOL", residual)
+    assert games._downturn_kernel_solution(K) is not None
+    monkeypatch.setattr(games, "FEASIBILITY_TOL", np.nextafter(residual, 0.0))
+    assert games._downturn_kernel_solution(K) is None
+
+
+def test_a_game_that_is_not_a_kernel_does_not_load_params():
+    # The route imports params past its scalar test, so a process that
+    # solves only other games starts without it.
+    script = (
+        "import sys\n"
+        "from buyhold import solve_game\n"
+        "assert solve_game([[2.0, 1.0], [1.0, 3.0]])[1] == 'closed-form'\n"
+        "assert solve_game([[1.0, 2.0, 0.5]])[1] == 'lp'\n"
+        "assert 'buyhold.params' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(games.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+# Each OpenBLAS core type with the CPU feature it needs; forcing one the CPU
+# lacks would stop the process on an illegal instruction.
+CORETYPES = {"Prescott": None, "Haswell": "AVX2", "SkylakeX": "AVX512F"}
+
+
+def test_kernel_game_bits_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE forces one BLAS kernel for a process; the kernel route
+    # makes no BLAS call for its answer, so every kernel prints the same bits.
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("OpenBLAS core types are x86 kernels")
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+    script = (
+        "from buyhold import payoff_matrix_K, preset_params, solve_game\n"
+        "for preset in ('taipei', 'tokyo', 'vienna', 'amsterdam'):\n"
+        "    for n in (21, 252):\n"
+        "        sol, route = solve_game(payoff_matrix_K(preset_params(preset, n)))\n"
+        "        print(route, sol.value.hex(), sol.ratio.hex(), *map(float.hex, sol.online_strategy.tolist()),\n"
+        "              *map(float.hex, sol.adversary_strategy.tolist()))\n"
+    )
+    outputs = {}
+    for coretype, flag in CORETYPES.items():
+        if flag is not None and not features.get(flag):
+            continue
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": str(Path(games.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs[coretype] = done.stdout
+    assert len(set(outputs.values())) == 1, sorted(outputs)
+    assert next(iter(outputs.values())).count("closed-form") == 8
 
 
 def test_worst_case_columns():
@@ -464,6 +667,24 @@ def test_ratio_past_float_range_raises(H):
     # the first matrix takes the closed form, the second the LP.
     with pytest.raises(NumericalFailure, match="too small"):
         solve_game(H)
+
+
+@pytest.mark.parametrize(
+    "solve, H",
+    [
+        pytest.param(solve_game_lp, [[sys.float_info.max]], id="lp-1x1"),
+        # Singular, so solve_game takes the LP route.
+        pytest.param(lambda H: solve_game(H)[0], [[sys.float_info.max] * 2] * 2, id="solve-2x2"),
+    ],
+)
+def test_value_near_the_largest_float_stays_finite(solve, H):
+    # The ratio, 1/value, is subnormal; the value comes from the unit-scaled
+    # ratio, so it does not overflow to inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(H)
+    assert 0.0 <= sys.float_info.max - sol.value <= 2.0 * math.ulp(sys.float_info.max)
+    assert sol.ratio == pytest.approx(1.0 / sys.float_info.max, rel=1e-12)
 
 
 def test_closed_form_agrees_with_lp_when_applicable():
