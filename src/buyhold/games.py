@@ -69,9 +69,10 @@ def as_payoff_matrix(matrix) -> np.ndarray:
         raise NonPositiveEntry("payoff entries must be real numbers") from None
     if a.ndim != 2 or a.size == 0:
         raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonPositiveEntry("payoff entries must be finite")
-    if np.any(a <= 0.0):
+    # Two reductions that make no temporary array accept a good matrix; a NaN fails both.
+    if not (a.min() > 0.0 and a.max() < math.inf):
+        if not np.isfinite(a).all():
+            raise NonPositiveEntry("payoff entries must be finite")
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise NonPositiveEntry(f"payoff entry ({i}, {j}) = {a[i, j]:g} is not positive")
     return a
@@ -278,7 +279,7 @@ def _downturn_kernel_solution(H) -> GameSolution | None:
     exponents = -np.arange(n)
     alpha = _bound_read_back(H[0], exponents)
     beta = _bound_read_back(H[:, 0], exponents)
-    if alpha is None or beta is None or not np.array_equal(H[1:, 1:], H[:-1, :-1]):
+    if alpha is None or beta is None or not (H[1:, 1:] == H[:-1, :-1]).all():
         return None
     params = MarketParams(alpha, beta, n)
     first, interior, last = bal_weight_parts(params)
@@ -287,9 +288,13 @@ def _downturn_kernel_solution(H) -> GameSolution | None:
     x[0], x[-1] = first, last
     # The interior is constant, so reversing x swaps its ends.
     y = x[::-1].copy()
-    residual = max(np.max(np.abs(ratio * (x @ H) - 1.0)), np.max(np.abs(ratio * (H @ y) - 1.0)))
-    if not residual <= FEASIBILITY_TOL:
-        return None
+    # ratio > 0, so fl(ratio * v) - 1 rises with v and |ratio * v - 1| is largest
+    # at the least or the greatest v: the extremes give the whole residual.
+    # Each is tested on its own, so a NaN fails.
+    xH, Hy = x @ H, H @ y
+    for v in (xH.min(), xH.max(), Hy.min(), Hy.max()):
+        if not abs(ratio * v - 1.0) <= FEASIBILITY_TOL:
+            return None
     return GameSolution(
         value=1.0 / ratio, ratio=ratio, online_strategy=x, adversary_strategy=y, unique=True
     )

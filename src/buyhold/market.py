@@ -19,10 +19,8 @@ of the uniform dollar-averaging allocation ``da_ratio``.
 """
 
 import math
-from itertools import accumulate
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import LengthMismatch, NumericalFailure, PreconditionViolated
 # The scalar names live in params, which imports no numpy; they are
@@ -119,8 +117,8 @@ def payoff_matrix_K(params: MarketParams) -> np.ndarray:
             f"entries stay positive is n = {last}"
         )
     # Entry (i, j) is diagonals[n-1-i+j], inside the 2n-1 entries for every i, j < n.
-    step = diagonals.strides[0]
-    return as_strided(diagonals[n - 1 :], shape=(n, n), strides=(-step, step)).copy()
+    step = diagonals.itemsize
+    return np.ndarray((n, n), float, diagonals, (n - 1) * step, (-step, step)).copy()
 
 
 def det_K_closed_form(params: MarketParams) -> float:
@@ -221,7 +219,17 @@ def static_ratio_via_downturns(weights, params: MarketParams) -> float:
 def _times_kernel(a: np.ndarray, alpha: float, beta: float) -> list[float]:
     """``a @ K`` for the downturn kernel, from its two geometric recurrences."""
     values = a.tolist()
-    left = accumulate(values, lambda s, x: s / alpha + x)
-    # ahead[j] = a_j + ahead[j+1]/beta, so R_j = ahead[j+1]/beta and R_{n-1} = 0.
-    ahead = list(accumulate(reversed(values), lambda s, x: s / beta + x))[::-1]
-    return [l + r / beta for l, r in zip(left, ahead[1:] + [0.0])]
+    n = len(values)
+    # The backward loop leaves after[j] = a_{j+1} + after[j+1]/beta and after[n-1] = 0,
+    # so R_j = after[j]/beta; the forward loop overwrites after[j] with L_j + R_j.
+    # Each sum starts at -0.0: -0.0/b + x is x for a bound b > 1 and every float x.
+    after = [0.0] * n
+    s = -0.0
+    for j in range(n - 1, 0, -1):
+        s = s / beta + values[j]
+        after[j - 1] = s
+    s = -0.0
+    for j in range(n):
+        s = s / alpha + values[j]
+        after[j] = s + after[j] / beta
+    return after

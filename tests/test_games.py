@@ -165,6 +165,15 @@ def test_closed_form_candidate_summing_to_zero_is_refused(monkeypatch):
 
 
 NOT_A_MATRIX = DimensionMismatch, "expected a nonempty 2-D matrix"
+# The six public functions that take a game, each called on the game alone.
+GAME_FUNCTIONS = (
+    solve_game,
+    solve_game_closed_form,
+    solve_game_lp,
+    solve_primal_dual,
+    lambda H: worst_case_columns(H, [1.0]),
+    lambda H: check_extreme_point(H, [1.0], [1.0], [0], [0]),
+)
 
 
 @pytest.mark.parametrize(
@@ -180,11 +189,20 @@ NOT_A_MATRIX = DimensionMismatch, "expected a nonempty 2-D matrix"
         pytest.param(np.array([[2.0, 1.0 + 0j], [1.0, 2.0]]), NonPositiveEntry, "real numbers", id="complex-array"),
         pytest.param([["a", 1.0]], NonPositiveEntry, "real numbers", id="string"),
         pytest.param([[10**400]], NonPositiveEntry, "must be finite", id="int-past-float"),
+        # A non-finite entry is named before a nonpositive one, wherever each is.
+        pytest.param([[1.0, np.nan]], NonPositiveEntry, "^payoff entries must be finite$", id="nan"),
+        pytest.param([[1.0, -np.inf]], NonPositiveEntry, "^payoff entries must be finite$", id="minus-inf"),
+        pytest.param([[-1.0, np.nan]], NonPositiveEntry, "^payoff entries must be finite$", id="nan-beside-negative"),
+        pytest.param([[0.0, np.inf]], NonPositiveEntry, "^payoff entries must be finite$", id="inf-beside-zero"),
+        pytest.param(
+            [[1.0, -0.0]], NonPositiveEntry, r"^payoff entry \(0, 1\) = -0 is not positive$", id="minus-zero"
+        ),
     ],
 )
 def test_closed_form_rejects_a_non_matrix(H, error, match):
-    # solve_game refuses the same input with the same error.
-    for solve in (solve_game_closed_form, solve_game):
+    # Every game function reads the game through as_payoff_matrix first, so
+    # each refuses the same input with the same error.
+    for solve in GAME_FUNCTIONS:
         with pytest.raises(error, match=match):
             solve(H)
 
@@ -268,45 +286,108 @@ def _nudged(H, i, j):
 
 
 TAIPEI3 = payoff_matrix_K(preset_params("taipei", 3))
-# Games that look like a downturn kernel and are not one, each with the
-# float.hex of (value ratio, online strategy, adversary strategy) that the LU
-# gives.  At n = 3 these bits are the same under every OpenBLAS kernel.
+# Games that look like a downturn kernel and are not one.
 NEAR_KERNELS = {
     # Toeplitz no more: H[1, 2] is off the diagonal of H[0, 1].
-    "interior": (
-        _nudged(TAIPEI3, 1, 2),
-        "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
-        "0x1.de81323e34a2cp-2 0x1.0bf66e0e5af15p-5 0x1.ffffffffffff3p-2",
-        "0x1.ffffffffffff9p-2 0x1.0bf66e0e5aea6p-5 0x1.de81323e34a32p-2",
-    ),
+    "interior": _nudged(TAIPEI3, 1, 2),
     # Still Toeplitz, but the first row is no power sequence.
-    "row-corner": (
-        _nudged(TAIPEI3, 0, 2),
-        "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
-        "0x1.de81323e34a2cp-2 0x1.0bf66e0e5af49p-5 0x1.fffffffffffebp-2",
-        "0x1.fffffffffffebp-2 0x1.0bf66e0e5af53p-5 0x1.de81323e34a2cp-2",
-    ),
-    "column-corner": (
-        _nudged(TAIPEI3, 2, 0),
-        "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
-        "0x1.de81323e34a25p-2 0x1.0bf66e0e5af1dp-5 0x1.ffffffffffffap-2",
-        "0x1.ffffffffffff3p-2 0x1.0bf66e0e5af1ap-5 0x1.de81323e34a2cp-2",
-    ),
+    "row-corner": _nudged(TAIPEI3, 0, 2),
+    "column-corner": _nudged(TAIPEI3, 2, 0),
     # No unit corner.
-    "twice": (
-        2.0 * TAIPEI3,
-        "0x1.de81323e34a2cp+0 0x1.11eb851eb851ep-1",
-        "0x1.de81323e34a2cp-2 0x1.0bf66e0e5aee1p-5 0x1.ffffffffffffap-2",
-        "0x1.ffffffffffff3p-2 0x1.0bf66e0e5af1ap-5 0x1.de81323e34a2cp-2",
-    ),
+    "twice": 2.0 * TAIPEI3,
     # Symmetric Toeplitz with a unit diagonal, but 0.3 is not 0.5 ** 2.
-    "toeplitz": (
-        np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.5], [0.3, 0.5, 1.0]]),
-        "0x1.3b13b13b13b14p-1 0x1.a000000000000p+0",
-        "0x1.89d89d89d89d9p-2 0x1.d89d89d89d89ep-3 0x1.89d89d89d89d9p-2",
-        "0x1.89d89d89d89d9p-2 0x1.d89d89d89d89ep-3 0x1.89d89d89d89d9p-2",
-    ),
+    "toeplitz": np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.5], [0.3, 0.5, 1.0]]),
 }
+
+
+def _taipei3_bytes(below):
+    """The bytes of TAIPEI3 with ``below``, the float.hex of ``1.07 ** -1``, under its diagonal."""
+    rows = (
+        "0x1p+0 0x1.dc28f5c28f5c3p-1 0x1.bad42c3c9eecdp-1",
+        f"{below} 0x1p+0 0x1.dc28f5c28f5c3p-1",
+        f"0x1.bf335c69fc8e7p-1 {below} 0x1p+0",
+    )
+    return np.array([float.fromhex(entry) for row in rows for entry in row.split()]).tobytes()
+
+
+# The float.hex of (value ratio, online strategy, adversary strategy) that the
+# LU gives for each near kernel, and for TAIPEI3 itself when the kernel route
+# refuses it.  At n = 3 these bits are the same under every OpenBLAS kernel,
+# but TAIPEI3 is not the same on every host: numpy's np.power rounds
+# 1.07 ** -1 to ...a2a with its AVX-512 loops and to the correctly rounded
+# ...a2b without them.  So the set is chosen by TAIPEI3's own bytes.
+NEAR_KERNEL_BITS = {
+    _taipei3_bytes("0x1.de81323e34a2ap-1"): {
+        "interior": (
+            "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+            "0x1.de81323e34a2cp-2 0x1.0bf66e0e5af15p-5 0x1.ffffffffffff3p-2",
+            "0x1.ffffffffffff9p-2 0x1.0bf66e0e5aea6p-5 0x1.de81323e34a32p-2",
+        ),
+        "row-corner": (
+            "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+            "0x1.de81323e34a2cp-2 0x1.0bf66e0e5af49p-5 0x1.fffffffffffebp-2",
+            "0x1.fffffffffffebp-2 0x1.0bf66e0e5af53p-5 0x1.de81323e34a2cp-2",
+        ),
+        "column-corner": (
+            "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+            "0x1.de81323e34a25p-2 0x1.0bf66e0e5af1dp-5 0x1.ffffffffffffap-2",
+            "0x1.ffffffffffff3p-2 0x1.0bf66e0e5af1ap-5 0x1.de81323e34a2cp-2",
+        ),
+        "twice": (
+            "0x1.de81323e34a2cp+0 0x1.11eb851eb851ep-1",
+            "0x1.de81323e34a2cp-2 0x1.0bf66e0e5aee1p-5 0x1.ffffffffffffap-2",
+            "0x1.ffffffffffff3p-2 0x1.0bf66e0e5af1ap-5 0x1.de81323e34a2cp-2",
+        ),
+        "toeplitz": (
+            "0x1.3b13b13b13b14p-1 0x1.a000000000000p+0",
+            "0x1.89d89d89d89d9p-2 0x1.d89d89d89d89ep-3 0x1.89d89d89d89d9p-2",
+            "0x1.89d89d89d89d9p-2 0x1.d89d89d89d89ep-3 0x1.89d89d89d89d9p-2",
+        ),
+        "TAIPEI3": (
+            "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+            "0x1.de81323e34a2cp-2 0x1.0bf66e0e5aee1p-5 0x1.ffffffffffffap-2",
+            "0x1.ffffffffffff3p-2 0x1.0bf66e0e5af1ap-5 0x1.de81323e34a2cp-2",
+        ),
+    },
+    _taipei3_bytes("0x1.de81323e34a2bp-1"): {
+        "interior": (
+            "0x1.de81323e34a2bp-1 0x1.11eb851eb851fp+0",
+            "0x1.de81323e34a32p-2 0x1.0bf66e0e5ae70p-5 0x1.0000000000000p-1",
+            "0x1.ffffffffffffep-2 0x1.0bf66e0e5ae10p-5 0x1.de81323e34a3fp-2",
+        ),
+        "row-corner": (
+            "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+            "0x1.de81323e34a34p-2 0x1.0bf66e0e5aea5p-5 0x1.ffffffffffffap-2",
+            "0x1.ffffffffffff1p-2 0x1.0bf66e0e5aea6p-5 0x1.de81323e34a3ap-2",
+        ),
+        "column-corner": (
+            "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+            "0x1.de81323e34a2cp-2 0x1.0bf66e0e5aee1p-5 0x1.ffffffffffffap-2",
+            "0x1.ffffffffffffap-2 0x1.0bf66e0e5aee0p-5 0x1.de81323e34a2cp-2",
+        ),
+        "twice": (
+            "0x1.de81323e34a2cp+0 0x1.11eb851eb851ep-1",
+            "0x1.de81323e34a34p-2 0x1.0bf66e0e5aea5p-5 0x1.ffffffffffffap-2",
+            "0x1.ffffffffffff9p-2 0x1.0bf66e0e5ae6dp-5 0x1.de81323e34a3ap-2",
+        ),
+        "toeplitz": (
+            "0x1.3b13b13b13b14p-1 0x1.a000000000000p+0",
+            "0x1.89d89d89d89d9p-2 0x1.d89d89d89d89ep-3 0x1.89d89d89d89d9p-2",
+            "0x1.89d89d89d89d9p-2 0x1.d89d89d89d89ep-3 0x1.89d89d89d89d9p-2",
+        ),
+        "TAIPEI3": (
+            "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
+            "0x1.de81323e34a34p-2 0x1.0bf66e0e5aea5p-5 0x1.ffffffffffffap-2",
+            "0x1.ffffffffffff9p-2 0x1.0bf66e0e5ae6dp-5 0x1.de81323e34a3ap-2",
+        ),
+    },
+}
+
+
+def _near_kernel_bits(name):
+    bits = NEAR_KERNEL_BITS.get(TAIPEI3.tobytes())
+    assert bits is not None, f"no pinned set for TAIPEI3 = {[v.hex() for v in TAIPEI3.ravel().tolist()]}"
+    return bits[name]
 
 
 def _hex_solution(sol):
@@ -319,12 +400,11 @@ def _hex_solution(sol):
 
 @pytest.mark.parametrize("name", sorted(NEAR_KERNELS))
 def test_a_near_kernel_goes_to_the_lu(name):
-    H, *bits = NEAR_KERNELS[name]
     with mock.patch.object(games, "_inverse_sums", wraps=games._inverse_sums) as lu:
-        sol, route = solve_game(H)
+        sol, route = solve_game(NEAR_KERNELS[name])
     lu.assert_called_once()
     assert route == "closed-form" and sol.unique
-    assert _hex_solution(sol) == tuple(bits)
+    assert _hex_solution(sol) == _near_kernel_bits(name)
 
 
 @pytest.mark.parametrize("H", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 5e-324], [5e-324, 1.0]], [[1.0]]])
@@ -346,11 +426,7 @@ def test_a_kernel_whose_closed_forms_miss_the_residual_goes_to_the_lu(monkeypatc
         sol, route = solve_game(TAIPEI3)
     lu.assert_called_once()
     assert route == "closed-form" and sol.unique
-    assert _hex_solution(sol) == (
-        "0x1.de81323e34a2cp-1 0x1.11eb851eb851ep+0",
-        "0x1.de81323e34a2cp-2 0x1.0bf66e0e5aee1p-5 0x1.ffffffffffffap-2",
-        "0x1.ffffffffffff3p-2 0x1.0bf66e0e5af1ap-5 0x1.de81323e34a2cp-2",
-    )
+    assert _hex_solution(sol) == _near_kernel_bits("TAIPEI3")
     monkeypatch.setattr("buyhold.params.bal_ratio", lambda p: bal_ratio(p) * (1.0 + 0.5 * FEASIBILITY_TOL))
     monkeypatch.setattr(games, "_inverse_sums", _lu_must_not_run)
     assert solve_game(TAIPEI3)[0].ratio == bal_ratio(preset_params("taipei", 3)) * (1.0 + 0.5 * FEASIBILITY_TOL)
@@ -414,6 +490,40 @@ def test_kernel_game_bits_do_not_depend_on_the_blas_kernel():
         outputs[coretype] = done.stdout
     assert len(set(outputs.values())) == 1, sorted(outputs)
     assert next(iter(outputs.values())).count("closed-form") == 8
+
+
+# numpy's AVX-512 dispatch targets.  NPY_DISABLE_CPU_FEATURES takes only
+# targets that numpy dispatches to and that it runs in this process.
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_kernel_game_bits_do_not_depend_on_numpys_simd_dispatch():
+    # payoff_matrix_K's powers follow numpy's SIMD dispatch, so K itself may
+    # differ by an ulp with the AVX-512 loops off (TAIPEI3 does).  The route
+    # reads the bounds back from K and answers from them, so every preset
+    # kernel is still recognised and solve_game gives the same bits.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    disabled = " ".join(name for name in AVX512_TARGETS if name in __cpu_dispatch__ and __cpu_features__.get(name))
+    if not disabled:
+        pytest.skip("numpy runs no AVX-512 loops in this process")
+    script = (
+        "from buyhold import CIRCUIT_BREAKERS, payoff_matrix_K, preset_params, solve_game\n"
+        "for preset in sorted(CIRCUIT_BREAKERS):\n"
+        "    for n in (2, 3, 21, 63, 252):\n"
+        "        sol, route = solve_game(payoff_matrix_K(preset_params(preset, n)))\n"
+        "        print(route, sol.unique, sol.value.hex(), sol.ratio.hex(), *map(float.hex, sol.online_strategy.tolist()),\n"
+        "              *map(float.hex, sol.adversary_strategy.tolist()))\n"
+    )
+    outputs = []
+    for features in (None, disabled):
+        env = {**os.environ, "PYTHONPATH": str(Path(games.__file__).resolve().parents[1])}
+        if features is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = features
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("closed-form True") == 7 * 5
 
 
 def test_worst_case_columns():

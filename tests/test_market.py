@@ -427,6 +427,21 @@ class TestPayoffKernel:
         params = MarketParams(alpha, beta, n)
         assert np.array_equal(payoff_matrix_K(params), dense_kernel(params))
 
+    @pytest.mark.parametrize("preset", sorted(CIRCUIT_BREAKERS))
+    def test_layout_is_a_fancy_index_of_the_same_diagonals(self, preset):
+        # The 2n - 1 powers taken as payoff_matrix_K takes them, so the layout is
+        # checked byte for byte on any host, whatever numpy's SIMD dispatch gives
+        # for each power.
+        for n in (2, 3, 21, 252, 1000):
+            params = preset_params(preset, n)
+            gap = np.arange(n - 1, -n, -1)
+            diagonals = np.where(gap <= 0, float(params.alpha), float(params.beta)) ** -np.abs(gap)
+            day = np.arange(n)
+            reference = diagonals[n - 1 - day[:, None] + day[None, :]]
+            K = payoff_matrix_K(params)
+            assert K.dtype == np.float64 and K.flags.c_contiguous and K.flags.owndata
+            assert K.tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize(
         "alpha, beta, last",
         [(2.0, 2.0, 1075), (1.07, 1.5, 1838), (10.0, 1.1, 324), (1e200, 2.0, 2)],
@@ -673,6 +688,54 @@ class TestDollarAveraging:
             assert np.all(np.diff(increments) < 8 * n * np.finfo(float).eps)
 
 
+# static_ratio_via_downturns of (bal_weights, da_weights, seeded random weights),
+# as float.hex; see TestStaticRatio.test_ratios_are_pinned_bit_for_bit.
+PINNED_RATIOS = {
+    ('amsterdam', 2): "0x1.0cccccccccccdp+0 0x1.0d79435e50d79p+0 0x1.1e8f90fa6694ep+1",
+    ('amsterdam', 3): "0x1.199999999999ap+0 0x1.1b6513d66f780p+0 0x1.1936da79ceec0p-1",
+    ('amsterdam', 21): "0x1.0000000000001p+1 0x1.2dd34fa24c26dp+1 0x1.b94eb614704cdp-3",
+    ('amsterdam', 63): "0x1.0666666666669p+2 0x1.93ba98bd7b541p+2 0x1.804ea0af3f53cp-3",
+    ('amsterdam', 252): "0x1.b19999999999ep+3 0x1.93333333384d2p+4 0x1.014fdc1f85046p-2",
+    ('amsterdam', 1000): "0x1.979999999999ep+5 0x1.900000000000dp+6 0x1.cc1a43511b42bp-3",
+    ('bangkok', 2): "0x1.0cccccccccccdp+0 0x1.0d79435e50d79p+0 0x1.32c96e36105fdp+0",
+    ('bangkok', 3): "0x1.199999999999ap+0 0x1.1b6513d66f780p+0 0x1.f102a0da357c5p+0",
+    ('bangkok', 21): "0x1.0000000000001p+1 0x1.2dd34fa24c26dp+1 0x1.9424cfc17576cp-3",
+    ('bangkok', 63): "0x1.0666666666669p+2 0x1.93ba98bd7b541p+2 0x1.5320bf5efb5c0p-3",
+    ('bangkok', 252): "0x1.b19999999999ep+3 0x1.93333333384d2p+4 0x1.627ea185c8479p-3",
+    ('bangkok', 1000): "0x1.979999999999ep+5 0x1.900000000000dp+6 0x1.f8d44f9a49f79p-3",
+    ('paris', 2): "0x1.0888888888888p+0 0x1.0c30c30c30c31p+0 0x1.3cae0d215408ep-1",
+    ('paris', 3): "0x1.1111111111111p+0 0x1.18bfce8062ff5p+0 0x1.972bce93bb654p-1",
+    ('paris', 21): "0x1.aaaaaaaaaaaaap+0 0x1.1a8b41307279ap+1 0x1.8d33ae9241e55p-3",
+    ('paris', 63): "0x1.8888888888887p+1 0x1.6f73c020dcc58p+2 0x1.ba79b4be4ae3ap-3",
+    ('paris', 252): "0x1.2bbbbbbbbbbbbp+3 0x1.6e8ba2e8f48bbp+4 0x1.2e7953a70ff93p-3",
+    ('paris', 1000): "0x1.1266666666664p+5 0x1.6ba2e8ba2e8c9p+6 0x1.62e6a1abc61f1p-3",
+    ('taipei', 2): "0x1.08f5c28f5c28fp+0 0x1.0948f40feac6fp+0 0x1.63726bd770471p+0",
+    ('taipei', 3): "0x1.11eb851eb851fp+0 0x1.12c9459113f57p+0 0x1.91bdcd05d4d33p-1",
+    ('taipei', 21): "0x1.b333333333334p+0 0x1.e12168c343203p+0 0x1.4d661d2713386p-3",
+    ('taipei', 63): "0x1.95c28f5c28f5bp+1 0x1.1d302e0a88664p+2 0x1.363c2934553a6p-3",
+    ('taipei', 252): "0x1.391eb851eb852p+3 0x1.1a3d70d9ebac3p+4 0x1.0b7357ec7c782p-3",
+    ('taipei', 1000): "0x1.1fb851eb851ecp+5 0x1.1800000000004p+6 0x1.2db409eabf738p-3",
+    ('tel-aviv', 2): "0x1.0888888888888p+0 0x1.0c30c30c30c31p+0 0x1.93da2b587aa2fp-1",
+    ('tel-aviv', 3): "0x1.1111111111111p+0 0x1.18bfce8062ff5p+0 0x1.04996b7149fc4p+0",
+    ('tel-aviv', 21): "0x1.aaaaaaaaaaaaap+0 0x1.1a8b41307279ap+1 0x1.b83b3a19f3875p-3",
+    ('tel-aviv', 63): "0x1.8888888888887p+1 0x1.6f73c020dcc58p+2 0x1.387e9e007ac8dp-3",
+    ('tel-aviv', 252): "0x1.2bbbbbbbbbbbbp+3 0x1.6e8ba2e8f48bbp+4 0x1.4bdb72f432e91p-3",
+    ('tel-aviv', 1000): "0x1.1266666666664p+5 0x1.6ba2e8ba2e8c9p+6 0x1.f7d6d15f7a8efp-3",
+    ('tokyo', 2): "0x1.0af8af8af8af8p+0 0x1.21642c8590b22p+0 0x1.c3a5a5459c969p+0",
+    ('tokyo', 3): "0x1.15f15f15f15f1p+0 0x1.454b1152c454cp+0 0x1.c7472f02f148ep-1",
+    ('tokyo', 21): "0x1.db6db6db6db6bp+0 0x1.376a0fcb80f51p+2 0x1.d8534a3b5d50bp-2",
+    ('tokyo', 63): "0x1.d41d41d41d418p+1 0x1.d13b15b6c95b2p+3 0x1.3712b927d3e37p-1",
+    ('tokyo', 252): "0x1.783a83a83a835p+3 0x1.d13b13b13b13fp+5 0x1.7c9b68b48ffecp-2",
+    ('tokyo', 1000): "0x1.5e83a83a83a7fp+5 0x1.cd89d89d89d8dp+7 0x1.2975e8bee844fp-1",
+    ('vienna', 2): "0x1.0666666666667p+0 0x1.0690690690690p+0 0x1.f135224857f2bp-1",
+    ('vienna', 3): "0x1.0cccccccccccdp+0 0x1.0d3ccd8499773p+0 0x1.33488cfcfe068p+0",
+    ('vienna', 21): "0x1.7ffffffffffffp+0 0x1.979e9d7f6794dp+0 0x1.38c1a8d4612bep-3",
+    ('vienna', 63): "0x1.4666666666666p+1 0x1.a3c7ed82a5055p+1 0x1.b8590d406126dp-4",
+    ('vienna', 252): "0x1.d199999999999p+2 0x1.93337385459f6p+3 0x1.99ca748f7739ap-4",
+    ('vienna', 1000): "0x1.9f99999999997p+4 0x1.8fffffffffffdp+5 0x1.b74f674f64e38p-4",
+}
+
+
 class TestStaticRatio:
     def test_trade_once_first_day(self):
         params = MarketParams(2.0, 2.0, 3)
@@ -746,6 +809,37 @@ class TestStaticRatio:
                 dense = 1.0 / float((weights @ K).min())
                 got = static_ratio_via_downturns(weights, params)
                 assert got == pytest.approx(dense, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("preset", sorted(CIRCUIT_BREAKERS))
+    def test_ratios_are_pinned_bit_for_bit(self, preset):
+        # float.hex of the ratio of the balanced, the uniform and a seeded random
+        # strategy.  The recurrences are Python float arithmetic and the weights
+        # are host-independent, so these bits are the same on every host.
+        k = sorted(CIRCUIT_BREAKERS).index(preset)
+        for n in (2, 3, 21, 63, 252, 1000):
+            params = preset_params(preset, n)
+            strategies = (bal_weights(params), da_weights(n), np.random.default_rng([k, n]).random(n))
+            got = " ".join(static_ratio_via_downturns(w, params).hex() for w in strategies)
+            assert got == PINNED_RATIOS[preset, n], (preset, n)
+
+    def test_recurrences_match_the_accumulate_reference_bit_for_bit(self):
+        # The reference is the same two recurrences written with accumulate,
+        # each starting at its first term: signed zeros included, every entry
+        # of a @ K must have its bits.
+        def reference(a, alpha, beta):
+            values = a.tolist()
+            left = itertools.accumulate(values, lambda s, x: s / alpha + x)
+            ahead = list(itertools.accumulate(reversed(values), lambda s, x: s / beta + x))[::-1]
+            return [l + r / beta for l, r in zip(left, ahead[1:] + [0.0])]
+
+        rng = np.random.default_rng(29)
+        cases = [[], [-0.0], [0.0, -0.0], [-0.0, -0.0, -0.0], [-0.0, 1.0, -0.0], [1.0, -0.0, 0.0, -0.0]]
+        cases += [rng.random(n) for n in (1, 2, 3, 21, 252)]
+        for alpha, beta in [preset_bounds("tokyo"), (2.0, 3.0), (1e200, 1e150)]:
+            for a in map(np.array, cases):
+                got = _times_kernel(a, alpha, beta)
+                assert type(got) is list
+                assert np.array(got).tobytes() == np.array(reference(a, alpha, beta)).tobytes()
 
     def test_horizon_past_kernel_underflow(self):
         params = MarketParams(2.0, 2.0, 1100)
